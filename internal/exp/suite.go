@@ -104,14 +104,31 @@ func NewRegularSuite(scale workload.Scale) *Suite {
 	return s
 }
 
+// WithSeed returns a fresh suite at s's scale running under seed whose
+// datasets are s's: it adopts s's workloads and trace memo (adoptData),
+// so suites for many seeds at one scale build each graph and trace once.
+// Results stay per suite; they depend on the seed.
+func (s *Suite) WithSeed(seed int64) *Suite {
+	sub := NewSuite(s.Scale)
+	sub.Seed = seed
+	sub.GPU = s.GPU
+	sub.NoFork = s.NoFork
+	sub.adoptData(s)
+	return sub
+}
+
 // Apps reports the suite's workloads.
 func (s *Suite) Apps() []workload.Workload { return s.apps }
 
 // KVApp returns the suite's KV-cache serving workload, built lazily on
 // first use (it is not part of the paper's nine-application suite, so
 // only the serving experiment pays for it). The workload memoizes its
-// own trace; Suite.Trace caches it under KVServeName like any app.
+// own trace; Suite.Trace caches it under KVServeName like any app. A
+// suite that adopted another's datasets shares that suite's workload.
 func (s *Suite) KVApp() workload.Workload {
+	if s.data != nil {
+		return s.data.KVApp()
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.kvApp == nil {

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -70,6 +71,42 @@ func TestBuildCSRTiny(t *testing.T) {
 	}
 	if c.Weight[c.Offsets[0]] != 2 {
 		t.Fatalf("weight(0->1) = %d, want 2", c.Weight[c.Offsets[0]])
+	}
+}
+
+// TestBuildCSRMatchesSortSliceReference pins BuildCSR's edge order —
+// weights included, since duplicate (Src, Dst) edges carry different
+// weights and their relative order is up to the sort — against the
+// historical sort.Slice construction over Kronecker graphs of several
+// shapes, up to the quick experiment scale's 2^16 vertices.
+func TestBuildCSRMatchesSortSliceReference(t *testing.T) {
+	for _, tc := range []struct {
+		scale, edgeFactor int
+		seed              int64
+	}{{3, 4, 1}, {6, 16, 42}, {10, 8, 7}, {12, 2, 43}, {16, 8, 42}} {
+		edges := GenerateKron(tc.scale, tc.edgeFactor, tc.seed)
+		got := BuildCSR(int32(1)<<tc.scale, edges)
+
+		ref := append([]Edge(nil), edges...)
+		sort.Slice(ref, func(i, j int) bool {
+			if ref[i].Src != ref[j].Src {
+				return ref[i].Src < ref[j].Src
+			}
+			return ref[i].Dst < ref[j].Dst
+		})
+		if got.M() != len(ref) {
+			t.Fatalf("%+v: M = %d, want %d", tc, got.M(), len(ref))
+		}
+		for i, e := range ref {
+			if got.Dst[i] != e.Dst || got.Weight[i] != e.Weight {
+				t.Fatalf("%+v: edge %d = (dst %d, w %d), want (dst %d, w %d)",
+					tc, i, got.Dst[i], got.Weight[i], e.Dst, e.Weight)
+			}
+			if got.Offsets[e.Src] > int64(i) || got.Offsets[e.Src+1] <= int64(i) {
+				t.Fatalf("%+v: edge %d outside source %d's range %v",
+					tc, i, e.Src, got.Offsets[e.Src:e.Src+2])
+			}
+		}
 	}
 }
 

@@ -99,23 +99,6 @@ type JobStatus struct {
 	ResultURL string `json:"result_url,omitempty"`
 }
 
-// scaleSpec is a resolved experiment scale (gmtbench's -t1/-t2/-osf
-// after -quick is applied).
-type scaleSpec struct {
-	Tier1Pages       int
-	Tier2Pages       int
-	Oversubscription float64
-	DatasetSeed      int64
-}
-
-func (sc scaleSpec) workload() (s workload.Scale) {
-	s.Tier1Pages = sc.Tier1Pages
-	s.Tier2Pages = sc.Tier2Pages
-	s.Oversubscription = sc.Oversubscription
-	s.DatasetSeed = sc.DatasetSeed
-	return s
-}
-
 // job is one admitted unit of work. Identity is content-addressed: the
 // id is a digest of the key, and the key captures everything the
 // result depends on, so identical submissions share one job.
@@ -211,7 +194,7 @@ func (s *Server) buildExperiment(req *ExperimentRequest) (string, func(context.C
 	if !exp.KnownExperiment(name) {
 		return "", nil, fmt.Errorf("unknown experiment %q; choose from %v", name, exp.ExperimentNames)
 	}
-	scale := scaleSpec{Tier1Pages: 1024, Tier2Pages: 4096, Oversubscription: 2}
+	scale := workload.DefaultScale()
 	if req.Tier1Pages > 0 {
 		scale.Tier1Pages = req.Tier1Pages
 	}
@@ -257,9 +240,10 @@ func (s *Server) buildExperiment(req *ExperimentRequest) (string, func(context.C
 	return key, run, nil
 }
 
-// buildSim resolves a single-run request. The workload is matched at
-// submit time (unknown apps are a 400, not a failed job); the trace is
-// generated inside the job.
+// buildSim resolves a single-run request. The app name is matched at
+// submit time (unknown apps are a 400, not a failed job); the workload
+// and its trace come from the scale's data root inside the job, so each
+// dataset and trace is generated once per scale, not once per job.
 func (s *Server) buildSim(req *SimRequest) (string, func(context.Context) ([]byte, error), error) {
 	scale := gmt.DefaultScale()
 	if req.Scale != nil {
@@ -296,16 +280,16 @@ func (s *Server) buildSim(req *SimRequest) (string, func(context.Context) ([]byt
 			"invalid config: Tier1Pages and Warps must be >= 1, Tier2Pages >= 1 for 3-tier policies (got %d, %d, %d)",
 			cfg.Tier1Pages, cfg.Tier2Pages, cfg.Warps)
 	}
-	var w gmt.Workload
-	for _, cand := range append(gmt.Suite(scale), gmt.KVServe(scale)) {
-		if strings.EqualFold(cand.Name(), req.App) {
-			w = cand
+	var app string
+	names := append(gmt.WorkloadNames(), workload.KVServeName)
+	for _, name := range names {
+		if strings.EqualFold(name, req.App) {
+			app = name
 			break
 		}
 	}
-	if w == nil {
-		return "", nil, fmt.Errorf("unknown app %q; choose from %v", req.App,
-			append(gmt.WorkloadNames(), workload.KVServeName))
+	if app == "" {
+		return "", nil, fmt.Errorf("unknown app %q; choose from %v", req.App, names)
 	}
 	// gmt.Run panics on an unknown Tier-2 policy name; validate here so
 	// a typo is a 400 at submit, not a failed job.
@@ -314,14 +298,33 @@ func (s *Server) buildSim(req *SimRequest) (string, func(context.Context) ([]byt
 			return "", nil, err
 		}
 	}
-	key := fmt.Sprintf("sim|%s|t1=%d,t2=%d,osf=%g|%s",
-		w.Name(), scale.Tier1Pages, scale.Tier2Pages, scale.Oversubscription,
+	key := fmt.Sprintf("sim|%s|t1=%d,t2=%d,osf=%g,dseed=%d|%s",
+		app, scale.Tier1Pages, scale.Tier2Pages, scale.Oversubscription, scale.DatasetSeed,
 		cfg.Fingerprint())
 	run := func(ctx context.Context) ([]byte, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		res := gmt.Run(cfg, w)
+		// The data root supplies the workload and its memoized trace;
+		// the run is exactly gmt.Run's on a fresh workload.
+		s.mu.Lock()
+		root := s.dataRootLocked(workload.Scale(scale))
+		s.mu.Unlock()
+		var w workload.Workload
+		if app == workload.KVServeName {
+			w = root.KVApp()
+		}
+		for _, cand := range root.Apps() {
+			if cand.Name() == app {
+				w = cand
+			}
+		}
+		tr := root.Trace(w)
+		trace := make([]gmt.Access, len(tr))
+		for i, a := range tr {
+			trace[i] = gmt.Access{Page: int64(a.Page), Write: a.Write}
+		}
+		res := gmt.RunTrace(cfg, app, trace)
 		s.mu.Lock()
 		s.met.simRuns++
 		s.mu.Unlock()

@@ -21,6 +21,7 @@ type metrics struct {
 	cacheMisses      int64
 	joins            int64
 	simRuns          int64 // standalone sim-kind executions
+	evictedSims      int64 // simulations counted by suites evicted from Server.suites
 
 	// ewma tracks recent job latency (ns) for Retry-After estimates;
 	// coldNS is the configured estimate served before the first sample
@@ -93,6 +94,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	queued := len(s.queue)
 	inflight := s.inflight
 	cached := len(s.doneOrder)
+	roots, suites := len(s.roots.entries), len(s.suites.entries)
 
 	gauge := func(name, help string, v int64) {
 		fmt.Fprintf(&buf, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
@@ -103,6 +105,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge("gmtd_queue_depth", "Admitted jobs waiting for a worker.", int64(queued))
 	gauge("gmtd_jobs_inflight", "Jobs currently executing.", int64(inflight))
 	gauge("gmtd_cache_entries", "Finished jobs retained as the result cache.", int64(cached))
+	gauge("gmtd_data_roots", "Dataset scales whose workloads and traces are held for reuse.", int64(roots))
+	gauge("gmtd_suites", "Per-seed experiment suites held with their result memos.", int64(suites))
 	counter("gmtd_jobs_submitted_total", "Submissions received, including rejected ones.", m.submitted)
 	counter("gmtd_jobs_done_total", "Jobs completed successfully.", m.done)
 	counter("gmtd_jobs_failed_total", "Jobs that finished with an error.", m.failed)

@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"github.com/gmtsim/gmt/internal/exp"
+	"github.com/gmtsim/gmt/internal/workload"
 )
 
 // Options configures a Server. Zero values take the documented
@@ -89,7 +90,8 @@ type Server struct {
 	jobs      map[string]*job // by id (ids are derived from keys)
 	byKey     map[string]*job
 	doneOrder []string // ids in completion order, for cache eviction
-	suites    map[string]*exp.Suite
+	roots     suiteLRU // data roots, by dataset scale (dataRootLocked)
+	suites    suiteLRU // per-seed experiment suites (suiteFor)
 	draining  bool
 	inflight  int
 	met       metrics
@@ -101,7 +103,8 @@ func New(opts Options) *Server {
 		opts:   opts.withDefaults(),
 		jobs:   make(map[string]*job),
 		byKey:  make(map[string]*job),
-		suites: make(map[string]*exp.Suite),
+		roots:  suiteLRU{max: maxDataRoots},
+		suites: suiteLRU{max: maxSuites},
 	}
 	s.queue = make(chan *job, s.opts.QueueDepth)
 	s.exec = func(j *job) ([]byte, error) { return j.run(j.ctx) }
@@ -157,7 +160,7 @@ func (s *Server) worker() {
 		s.inflight++
 		s.mu.Unlock()
 
-		payload, err := s.exec(j)
+		payload, err := s.execRecover(j)
 
 		s.mu.Lock()
 		j.payload = payload
@@ -179,6 +182,17 @@ func (s *Server) worker() {
 	}
 }
 
+// execRecover runs one job through s.exec, turning a panic into the
+// job's error: one bad simulation fails its job, not the daemon.
+func (s *Server) execRecover(j *job) (payload []byte, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			payload, err = nil, fmt.Errorf("job panicked: %v", r)
+		}
+	}()
+	return s.exec(j)
+}
+
 // evictLocked enforces the CacheEntries bound on retained finished
 // jobs. Called with s.mu held.
 func (s *Server) evictLocked() {
@@ -192,43 +206,94 @@ func (s *Server) evictLocked() {
 	}
 }
 
+// The per-scale maps keep this many most recently used entries. A data
+// root holds a scale's workloads (the Kronecker graph among them) and
+// its trace memo; a per-seed suite holds its results memo and recycled
+// runtimes. Both are keyed on client-chosen scales and seeds, so both
+// must be bounded.
+const (
+	maxDataRoots = 4
+	maxSuites    = 8
+)
+
+// dataRootLocked returns the data root for one dataset scale (tier
+// sizes, oversubscription, dataset seed), creating it on first use: an
+// exp.Suite that no job simulates on, whose workloads and trace memo
+// every sim job and per-seed experiment suite at that scale shares, so
+// each dataset is built once per scale rather than once per job.
+// Called with s.mu held.
+func (s *Server) dataRootLocked(sc workload.Scale) *exp.Suite {
+	root, _ := s.roots.get(fmt.Sprintf("%+v", sc), func() *exp.Suite { return exp.NewSuite(sc) })
+	return root
+}
+
 // suiteFor returns the shared experiment suite for one (scale, seed)
-// pair, creating it on first use. Suites are never evicted: they hold
-// the trace/result memo that makes warm experiment requests cheap, and
-// their count is bounded by the distinct scales clients ask for.
-func (s *Server) suiteFor(scale scaleSpec, seed int64) *exp.Suite {
-	key := fmt.Sprintf("t1=%d,t2=%d,osf=%g,seed=%d,dseed=%d",
-		scale.Tier1Pages, scale.Tier2Pages, scale.Oversubscription, seed, scale.DatasetSeed)
+// pair, creating it from the scale's data root on first use. It holds
+// the result memo that makes warm experiment requests cheap; the
+// datasets under it belong to the data root. An evicted suite's
+// simulations stay counted in gmtd_simulations_total (those a job still
+// running on it executes after eviction are not), and a later request
+// for it rebuilds it — byte-identically, since results are
+// deterministic.
+func (s *Server) suiteFor(sc workload.Scale, seed int64) *exp.Suite {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	suite, ok := s.suites[key]
-	if !ok {
-		suite = exp.NewSuite(scale.workload())
-		suite.Seed = seed
-		s.suites[key] = suite
+	root := s.dataRootLocked(sc)
+	suite, evicted := s.suites.get(fmt.Sprintf("%+v,seed=%d", sc, seed), func() *exp.Suite {
+		return root.WithSeed(seed)
+	})
+	if evicted != nil {
+		sims, _ := evicted.Counters()
+		s.met.evictedSims += sims
 	}
 	return suite
 }
 
-// simulationsTotal sums executed simulations across every suite plus
-// the standalone sim-kind runs. Warm (cached) requests leave it
-// unchanged — the metric the cache tests pin.
+// simulationsTotal sums executed simulations across every suite, the
+// evicted ones, and the standalone sim-kind runs. Warm (cached)
+// requests leave it unchanged — the metric the cache tests pin. The sum
+// is taken under s.mu, so an eviction moves a suite's count from the
+// live suites into evictedSims without the total ever decreasing.
 func (s *Server) simulationsTotal() int64 {
 	s.mu.Lock()
-	suites := make([]*exp.Suite, 0, len(s.suites))
-	for _, suite := range s.suites {
-		suites = append(suites, suite) //lint:ignore maporder summed below; int64 addition is order-independent
-	}
-	total := s.met.simRuns
-	s.mu.Unlock()
-	// Suite counters are summed outside s.mu (Counters takes the suite
-	// lock); int64 addition is order-independent, so map order above is
-	// harmless.
-	for _, suite := range suites {
-		sims, _ := suite.Counters()
+	defer s.mu.Unlock()
+	total := s.met.simRuns + s.met.evictedSims
+	for _, e := range s.suites.entries {
+		sims, _ := e.suite.Counters()
 		total += sims
 	}
 	return total
+}
+
+// suiteLRU is a small most-recently-used map of suites: at most max
+// entries, the least recently used evicted first.
+type suiteLRU struct {
+	max     int
+	entries []suiteEntry // least recently used first
+}
+
+type suiteEntry struct {
+	key   string
+	suite *exp.Suite
+}
+
+// get returns the suite under key, creating it with mk on a miss, and
+// marks it most recently used. evicted is the suite dropped to make
+// room, if any.
+func (c *suiteLRU) get(key string, mk func() *exp.Suite) (suite, evicted *exp.Suite) {
+	for i, e := range c.entries {
+		if e.key == key {
+			copy(c.entries[i:], c.entries[i+1:])
+			c.entries[len(c.entries)-1] = e
+			return e.suite, nil
+		}
+	}
+	if len(c.entries) == c.max {
+		evicted = c.entries[0].suite
+		c.entries = append(c.entries[:0], c.entries[1:]...)
+	}
+	c.entries = append(c.entries, suiteEntry{key: key, suite: mk()})
+	return c.entries[len(c.entries)-1].suite, evicted
 }
 
 // writeJSON writes v with the given status code.
