@@ -385,8 +385,12 @@ type Runtime struct {
 	historySample int64
 	hotAux        bool
 	// nextOcc[i] is the next access index of the page accessed at
-	// index i (PolicyOracle only; -1 = never again).
+	// index i (PolicyOracle only; -1 = never again). t1Heap and t2Heap
+	// rank each tier's residents by next use for the oracle's victim
+	// selection (see oracle.go); they stay empty under other policies.
 	nextOcc []int64
+	t1Heap  oracleHeap
+	t2Heap  oracleHeap
 
 	// Ring of recent eviction classifications for the 80% heuristic.
 	recentLong []bool
@@ -592,6 +596,7 @@ func (rt *Runtime) Reset(cfg Config) {
 	rt.recentLong = nil
 	rt.recentPos, rt.recentN = 0, 0
 	rt.nextOcc = nil
+	rt.t1Heap, rt.t2Heap = rt.t1Heap[:0], rt.t2Heap[:0]
 	rt.m = stats.Run{}
 	rt.history = rt.history[:0]
 	rt.reuseNS = nil
@@ -774,11 +779,7 @@ func (rt *Runtime) AccessSyncCall(a gpu.Access, call sim.EventFunc, ctx any, arg
 		ps = rt.dir.lookupSlow(a.Page)
 	}
 	if rt.nextOcc != nil {
-		if idx >= int64(len(rt.nextOcc)) {
-			panic("core: access beyond Config.Future")
-		}
-		ps = rt.dir.own(a.Page)
-		ps.nextUse = rt.nextOcc[idx]
+		ps = rt.oracleAdvance(a.Page, idx)
 	}
 	if ps.loc == locTier1 {
 		rt.m.Tier1Hits++
@@ -1258,6 +1259,9 @@ func (rt *Runtime) install(p tier.PageID) {
 	rt.setT1Page(p, ps.t1slot)
 	ps.dirty = ps.pendingDirty
 	ps.pendingDirty = false
+	if rt.nextOcc != nil {
+		rt.oracleTrack(rt.t1, &rt.t1Heap, p, ps)
+	}
 	// Detach the waiter queue before running it (a waiter may re-miss
 	// and re-queue), returning each node to the free list with its
 	// payload cleared so dispatched callbacks stay collectable.
@@ -1564,6 +1568,9 @@ func (rt *Runtime) newPlacement() *placement {
 func (rt *Runtime) placeInTier2Delayed(victim tier.PageID, ps *pageState, delay sim.Time, ready sim.EventFunc, rctx any) {
 	rt.t2.Insert(victim)
 	ps.loc = locTier2
+	if rt.nextOcc != nil {
+		rt.oracleTrack(rt.t2, &rt.t2Heap, victim, ps)
+	}
 	ps.placedAt = rt.eng.Now()
 	rt.m.EvictionsToTier2++
 	rt.m.PagesToHost++

@@ -1,0 +1,69 @@
+package exp
+
+import (
+	"bytes"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"github.com/gmtsim/gmt/internal/workload"
+)
+
+var update = flag.Bool("update", false, "rewrite the committed golden outputs under testdata/")
+
+// TestQuickGoldens pins absolute output, not just agreement between
+// execution paths: the quarter-scale rows of Figures 8 and 14 and the
+// oracle study, encoded exactly as `gmtbench -quick -json fig8 fig14
+// oracle` prints them, must equal the committed bytes. Together they
+// cover every policy's simulation, the HMM baseline and the oracle's
+// victim selection. After an intended change of output, refresh with
+//
+//	go test ./internal/exp -run TestQuickGoldens -update
+func TestQuickGoldens(t *testing.T) {
+	s := NewSuite(workload.Scale{Tier1Pages: 256, Tier2Pages: 1024, Oversubscription: 2, DatasetSeed: 42})
+	var got bytes.Buffer
+	for _, name := range []string{"fig8", "fig14", "oracle"} {
+		rows, _, ok := RunExperiment(func() *Suite { return s }, name, nil)
+		if !ok {
+			t.Fatalf("unknown experiment %q", name)
+		}
+		if err := EncodeExperiment(&got, name, rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := filepath.Join("testdata", "quick_fig8_fig14_oracle.json")
+	if *update {
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("quick fig8/fig14/oracle output differs from %s (rerun with -update only if the change is intended):\n%s",
+			path, firstDiff(want, got.Bytes()))
+	}
+}
+
+// firstDiff describes the first line where got departs from want.
+func firstDiff(want, got []byte) string {
+	wl, gl := bytes.Split(want, []byte("\n")), bytes.Split(got, []byte("\n"))
+	for i := 0; i < len(wl) || i < len(gl); i++ {
+		var w, g []byte
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if !bytes.Equal(w, g) {
+			return fmt.Sprintf("line %d:\n  want: %s\n  got:  %s", i+1, w, g)
+		}
+	}
+	return "no line differs"
+}

@@ -43,7 +43,7 @@ func BenchmarkScheduleDispatchClosure(b *testing.B) {
 }
 
 // BenchmarkScheduleDispatchDeep measures schedule+dispatch with a large
-// pending population, exercising the heap's sift paths.
+// pending population: long slot lists at level 0.
 func BenchmarkScheduleDispatchDeep(b *testing.B) {
 	e := NewEngine()
 	const depth = 1024
@@ -54,6 +54,42 @@ func BenchmarkScheduleDispatchDeep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.AfterCall(Time(1+i%97), nopCall, nil, 0)
+		e.step()
+	}
+	b.StopTimer()
+	e.Run()
+}
+
+// mixedDeltas cycles successor delays through the quick suite's
+// measured delay histogram, one entry per ~6% of its 35.2 M schedules:
+// per-access compute (200 ns), NVMe command overhead (2 µs), 64 KiB
+// page transfers (~20 µs), SSD reads (85 µs) and the rest, 85% of all
+// schedules in all. Only entries under 256 ns can start in the bottom
+// window.
+var mixedDeltas = [...]Time{
+	0, 50, 200, 200, 200,
+	2 * Microsecond, 2 * Microsecond, 4 * Microsecond, 6020, 12 * Microsecond,
+	19275, 20480, 21380, 30 * Microsecond, 59565, 85 * Microsecond,
+}
+
+// mixedPending is the pending population of the mixed benchmark: three
+// quarters of the quick suite's schedules find at most 12 events
+// pending, most of them 7–12.
+const mixedPending = 12
+
+// BenchmarkScheduleDispatchMixed measures schedule+dispatch on traffic
+// shaped like the simulator's: about a dozen events pending, and every
+// dispatch followed by one successor whose delay cycles through
+// mixedDeltas. Steady state is 0 allocs/op.
+func BenchmarkScheduleDispatchMixed(b *testing.B) {
+	e := NewEngine()
+	for i := 0; i < mixedPending; i++ {
+		e.AfterCall(mixedDeltas[i%len(mixedDeltas)], nopCall, nil, 0)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.AfterCall(mixedDeltas[i%len(mixedDeltas)], nopCall, nil, 0)
 		e.step()
 	}
 	b.StopTimer()
@@ -88,6 +124,20 @@ func TestScheduleDispatchAllocGate(t *testing.T) {
 	})
 	if typed != 0 {
 		t.Errorf("typed schedule+dispatch = %.1f allocs/op, want 0", typed)
+	}
+
+	for i := 0; i < mixedPending; i++ {
+		e.AfterCall(mixedDeltas[i%len(mixedDeltas)], nopCall, nil, 0)
+	}
+	next := 0
+	mixed := testing.AllocsPerRun(200, func() {
+		e.AfterCall(mixedDeltas[next%len(mixedDeltas)], nopCall, nil, 0)
+		e.step()
+		next++
+	})
+	e.Run()
+	if mixed != 0 {
+		t.Errorf("mixed-delta schedule+dispatch = %.1f allocs/op, want 0", mixed)
 	}
 
 	sink := 0

@@ -10,29 +10,46 @@
 //
 // # Scheduling paths
 //
-// Two scheduling APIs coexist. At/After accept a plain func() and remain
-// the general-purpose path; the closure they are handed is the caller's
-// only allocation. AtCall/AfterCall accept an EventFunc — a top-level
-// function plus a context pointer and an int64 argument — and allocate
-// nothing at all in steady state, which is what the per-access hot paths
-// (warp stepping, pipe completions) use. Internally both paths share one
-// representation: free-listed event records threaded through a
-// hierarchical timing wheel, so no interface boxing or per-event
-// allocation happens inside the engine on either path.
+// AtCall/AfterCall accept an EventFunc — a top-level function plus a
+// context pointer and an int64 argument — and allocate nothing in
+// steady state; the per-access hot paths (warp stepping, pipe
+// completions) use them. At/After accept a plain func() and store it as
+// CallFunc's context: a func value is pointer-shaped, so the caller's
+// closure is the only allocation. Both paths therefore share one
+// representation, free-listed event records threaded through a
+// hierarchical timing wheel, with no boxing or per-event allocation
+// inside the engine.
 //
 // # Queue discipline
 //
 // The pending set is a hierarchical timing wheel (4 levels × 256 slots
 // covering 2^32 ns beyond the cursor) with a ladder-style overflow list
-// for farther-out events. Push and pop are O(1): almost every delta the
-// simulator schedules is one of a few small constants (per-access
-// compute, per-I/O latency, link grants), so events land directly in the
-// bottom wheel and pops walk a 256-bit occupancy bitmap. Dispatch order
-// is bit-exact with a binary min-heap ordered by (time, sequence): slot
-// lists are appended in schedule order and cascades preserve it, so the
-// FIFO tie-break of simultaneous events survives every structural move
-// (see HACKING.md, "Scheduler determinism contract"; the differential
-// fuzz test in engine_diff_test.go pins the equivalence).
+// for farther-out events. The traffic it serves is a handful of events
+// at a time (three quarters of the quick suite's 35.2 M schedules find
+// at most 12 pending) with delays of 0.2–128 µs: per-access compute,
+// link and DMA grants, Tier-2 moves, SSD service. Those delays exceed
+// the 256 ns bottom window, so 89% of events are placed at levels 1–3
+// and only 11% at level 0. Pops therefore mostly come from upper levels,
+// and the rule that keeps them cheap is the lone-record rule: when level
+// 0 is empty, the earliest occupied slot of the lowest non-empty level
+// holds the global minimum, and if that slot holds a single record it
+// is dispatched directly instead of being re-placed down through the
+// levels. About 65% of events leave that way, and an event is placed
+// 1.5 times on average. A slot holding several records cascades one
+// level down as before.
+//
+// Dispatch order is bit-exact with a binary min-heap ordered by (time,
+// sequence). Slot lists are appended in schedule order and cascades
+// walk them in order, so the FIFO tie-break of simultaneous events
+// survives every structural move. The lone-record rule cannot break it
+// either. Events due at the same instant always share a slot: while a
+// record waits at level k, the cursor agrees with its time above byte
+// k and is below it in byte k, so any later event due at the same
+// instant lands in the same level and slot. A lone record thus has no
+// tie to order against, and dispatching it directly leaves the cursor
+// on its time, exactly where the walk down would have (see HACKING.md,
+// "Scheduler determinism contract"; the differential fuzz test in
+// engine_diff_test.go pins the equivalence).
 package sim
 
 import (
@@ -99,12 +116,11 @@ type eventRecord struct {
 	// next links the record into its wheel slot's FIFO list.
 	next int32
 
-	// Exactly one of call/fn is set: call is the typed path (with ctx
-	// and arg), fn the compatibility path.
+	// call(ctx, arg) is the event. The closure path stores its func()
+	// as ctx with call = CallFunc, so both APIs share this one shape.
 	call EventFunc
 	ctx  any
 	arg  int64
-	fn   func()
 }
 
 // Engine is a discrete-event scheduler with a virtual clock.
@@ -112,9 +128,12 @@ type eventRecord struct {
 type Engine struct {
 	now Time
 
-	// recs is the record arena; free lists reusable indices.
-	recs []eventRecord
-	free []int32
+	// recs is the record arena; free lists reusable indices. The records
+	// named by free[:clean] hold no callback references: none has been
+	// acquired since the last sweep, so the drain sweep skips them.
+	recs  []eventRecord
+	free  []int32
+	clean int
 
 	// cur is the wheel cursor: the time of the last structural advance
 	// (a pop or an overflow rebase). Invariants: cur <= now, and every
@@ -125,9 +144,12 @@ type Engine struct {
 	// head/tail index each slot's FIFO record list; occ is the per-level
 	// occupancy bitmap (the head/tail values are meaningful only while
 	// the slot's occ bit is set, which is what lets the zero value work).
-	head [wheelLevels][wheelSlots]int32
-	tail [wheelLevels][wheelSlots]int32
-	occ  [wheelLevels][wheelWords]uint64
+	// words summarizes occ: bit lvl*wheelWords+w is set iff occ[lvl][w]
+	// is non-zero, so finding the earliest slot takes two bit scans.
+	head  [wheelLevels][wheelSlots]int32
+	tail  [wheelLevels][wheelSlots]int32
+	occ   [wheelLevels][wheelWords]uint64
+	words uint64
 
 	// overflow is the ladder fallback: events beyond the wheel's span,
 	// in schedule order. They re-enter the wheel when it drains and the
@@ -175,6 +197,8 @@ func (e *Engine) Reset() {
 		panic(fmt.Sprintf("sim: Reset with %d events pending", e.pending))
 	}
 	if invariant.Enabled {
+		invariant.Assert(e.words == 0,
+			"sim: Reset found occupied wheel words %#x with nothing pending", e.words)
 		for lvl := 0; lvl < wheelLevels; lvl++ {
 			for w, word := range e.occ[lvl] {
 				invariant.Assert(word == 0,
@@ -191,11 +215,9 @@ func (e *Engine) Reset() {
 	e.peekAt, e.peekOK = 0, false
 	e.acquired, e.released = 0, 0
 	// Sweep retained callback references (a drain via RunUntil does not
-	// sweep the arena the way Run does), so nothing scheduled in the
-	// previous run outlives it through the free list.
-	for i := range e.recs {
-		e.recs[i].call, e.recs[i].ctx, e.recs[i].fn = nil, nil, nil
-	}
+	// sweep the way Run does), so nothing scheduled in the previous run
+	// outlives it through the free list.
+	e.sweep()
 }
 
 // Snapshot is the compact state of a quiescent engine: with no events
@@ -280,13 +302,13 @@ func (e *Engine) AdvanceTo(t Time) {
 }
 
 // At schedules fn to run at virtual time t. Scheduling in the past panics:
-// it always indicates a modeling bug.
-func (e *Engine) At(t Time, fn func()) {
-	e.schedule(t, nil, nil, 0, fn)
-}
+// it always indicates a modeling bug. fn rides the typed path as
+// CallFunc's context; a func value is pointer-shaped, so storing it in
+// the record allocates nothing beyond the caller's closure.
+func (e *Engine) At(t Time, fn func()) { e.schedule(t, CallFunc, fn, 0) }
 
 // After schedules fn to run d nanoseconds from now. Negative d panics.
-func (e *Engine) After(d Time, fn func()) { e.schedule(e.now+d, nil, nil, 0, fn) }
+func (e *Engine) After(d Time, fn func()) { e.schedule(e.now+d, CallFunc, fn, 0) }
 
 // AtCall schedules call(ctx, arg) at virtual time t. Unlike At, this
 // path performs no allocation in steady state: the callback is a shared
@@ -294,17 +316,17 @@ func (e *Engine) After(d Time, fn func()) { e.schedule(e.now+d, nil, nil, 0, fn)
 //
 //gmt:hotpath
 func (e *Engine) AtCall(t Time, call EventFunc, ctx any, arg int64) {
-	e.schedule(t, call, ctx, arg, nil)
+	e.schedule(t, call, ctx, arg)
 }
 
 // AfterCall schedules call(ctx, arg) d nanoseconds from now.
 //
 //gmt:hotpath
 func (e *Engine) AfterCall(d Time, call EventFunc, ctx any, arg int64) {
-	e.schedule(e.now+d, call, ctx, arg, nil)
+	e.schedule(e.now+d, call, ctx, arg)
 }
 
-func (e *Engine) schedule(t Time, call EventFunc, ctx any, arg int64, fn func()) {
+func (e *Engine) schedule(t Time, call EventFunc, ctx any, arg int64) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, e.now))
 	}
@@ -316,7 +338,6 @@ func (e *Engine) schedule(t Time, call EventFunc, ctx any, arg int64, fn func())
 	r.call = call
 	r.ctx = ctx
 	r.arg = arg
-	r.fn = fn
 	e.place(id, t)
 	e.pending++
 	// Keep the cached minimum exact: a first event defines it, an
@@ -347,118 +368,126 @@ func (e *Engine) place(id int32, t Time) {
 		lvl = (bits.Len64(uint64(diff)) - 1) / wheelBits
 	}
 	s := int(t>>(uint(lvl)*wheelBits)) & wheelMask
+	w, bit := s>>6, uint64(1)<<(uint(s)&63)
 	e.recs[id].next = noEvent
-	if e.occ[lvl][s>>6]&(1<<(uint(s)&63)) != 0 {
+	if e.occ[lvl][w]&bit != 0 {
 		e.recs[e.tail[lvl][s]].next = id
 	} else {
-		e.occ[lvl][s>>6] |= 1 << (uint(s) & 63)
+		e.occ[lvl][w] |= bit
+		e.words |= 1 << uint(lvl*wheelWords+w)
 		e.head[lvl][s] = id
 	}
 	e.tail[lvl][s] = id
 }
 
-// firstSet returns the lowest set bit index of a level's occupancy
-// bitmap. Slots behind the cursor are empty by invariant, so the lowest
-// occupied slot is always the earliest.
-func firstSet(w *[wheelWords]uint64) (int, bool) {
-	for i, word := range w {
-		if word != 0 {
-			return i<<6 + bits.TrailingZeros64(word), true
-		}
+// clearSlot marks slot s of level lvl empty.
+func (e *Engine) clearSlot(lvl, s int) {
+	w := s >> 6
+	if e.occ[lvl][w] &^= 1 << (uint(s) & 63); e.occ[lvl][w] == 0 {
+		e.words &^= 1 << uint(lvl*wheelWords+w)
 	}
-	return 0, false
+}
+
+// first reports the earliest occupied wheel slot. Levels are strictly
+// ordered in time (everything at level k+1 is later than everything at
+// level k or below) and slots behind the cursor are empty by invariant,
+// so the lowest set bit of the lowest non-empty level is the earliest.
+func (e *Engine) first() (lvl, s int, ok bool) {
+	if e.words == 0 {
+		return 0, 0, false
+	}
+	b := bits.TrailingZeros64(e.words)
+	lvl, w := b/wheelWords, b%wheelWords
+	return lvl, w<<6 | bits.TrailingZeros64(e.occ[lvl][w]), true
 }
 
 // findMin computes the earliest pending time without mutating the
-// wheel. Levels are strictly ordered in time (everything at level k+1 is
-// later than everything at level k or below), so the first occupied
-// level decides: at level 0 a slot is an exact instant; higher up the
+// wheel: a level-0 slot is an exact instant; higher up the earliest
 // slot's list is scanned for its earliest member.
 func (e *Engine) findMin() Time {
-	if s, ok := firstSet(&e.occ[0]); ok {
-		return e.cur&^Time(wheelMask) + Time(s)
+	lvl, s, ok := e.first()
+	if !ok {
+		return e.overflowMin
 	}
-	for lvl := 1; lvl < wheelLevels; lvl++ {
-		s, ok := firstSet(&e.occ[lvl])
-		if !ok {
-			continue
-		}
-		min := e.recs[e.head[lvl][s]].at
-		for id := e.recs[e.head[lvl][s]].next; id != noEvent; id = e.recs[id].next {
-			if at := e.recs[id].at; at < min {
-				min = at
-			}
-		}
+	id := e.head[lvl][s]
+	min := e.recs[id].at
+	if lvl == 0 {
 		return min
 	}
-	return e.overflowMin
+	for id = e.recs[id].next; id != noEvent; id = e.recs[id].next {
+		if at := e.recs[id].at; at < min {
+			min = at
+		}
+	}
+	return min
 }
 
 // pop removes and returns the earliest pending record, advancing the
-// cursor. Level-0 pops are O(1); exhausting the bottom window cascades
-// the next occupied higher slot down (amortized O(1) per event, since
-// each event moves down at most wheelLevels-1 times), and a fully
+// cursor to its time. The earliest occupied slot decides: at level 0 it
+// is an exact instant and its head pops in O(1); higher up, a lone
+// record dispatches directly (the lone-record rule, see the package
+// comment) and a shared slot cascades down (amortized O(1) per event,
+// since each event moves down at most wheelLevels-1 times). A fully
 // drained wheel rebases onto the overflow ladder.
 func (e *Engine) pop() int32 {
 	for {
-		if s, ok := firstSet(&e.occ[0]); ok {
-			id := e.head[0][s]
-			if nxt := e.recs[id].next; nxt == noEvent {
-				e.occ[0][s>>6] &^= 1 << (uint(s) & 63)
-			} else {
-				e.head[0][s] = nxt
-			}
-			e.cur = e.cur&^Time(wheelMask) + Time(s)
-			e.pending--
-			e.peekOK = false
-			return id
-		}
-		if e.cascade() {
-			continue
-		}
-		// Ladder fallback: the wheel is empty, so nothing is pending
-		// before overflowMin and the cursor can rebase there. Replaying
-		// the ladder in schedule order re-splits it: events inside the
-		// new span enter the wheel (equal-time FIFO intact), the rest
-		// stay behind with a recomputed minimum.
-		if len(e.overflow) == 0 {
-			panic("sim: pop from an empty engine")
-		}
-		e.cur = e.overflowMin
-		ovf := e.overflow
-		e.overflow = e.overflow[:0]
-		for _, id := range ovf {
-			// In-place refill over the shared backing array is safe:
-			// when entry i is read (copied out by range) at most i
-			// entries have been re-appended, so writes trail reads.
-			e.place(id, e.recs[id].at)
-		}
-	}
-}
-
-// cascade moves the first occupied slot of the lowest non-empty level
-// down one level (or more), advancing the cursor to the slot's window
-// start. Walking the slot list in order and tail-appending keeps the
-// per-instant FIFO intact: equal-time events can only share a slot in
-// schedule order. Reports false when every level is empty.
-func (e *Engine) cascade() bool {
-	for lvl := 1; lvl < wheelLevels; lvl++ {
-		s, ok := firstSet(&e.occ[lvl])
+		lvl, s, ok := e.first()
 		if !ok {
+			e.rebase()
 			continue
 		}
 		id := e.head[lvl][s]
-		e.occ[lvl][s>>6] &^= 1 << (uint(s) & 63)
-		shift := uint(lvl) * wheelBits
-		e.cur = e.cur&^(1<<(shift+wheelBits)-1) | Time(s)<<shift
-		for id != noEvent {
-			nxt := e.recs[id].next
-			e.place(id, e.recs[id].at)
-			id = nxt
+		nxt := e.recs[id].next
+		if nxt != noEvent && lvl != 0 {
+			e.clearSlot(lvl, s)
+			e.cascade(lvl, s, id)
+			continue
 		}
-		return true
+		if nxt == noEvent {
+			e.clearSlot(lvl, s)
+		} else {
+			e.head[lvl][s] = nxt
+		}
+		e.cur = e.recs[id].at
+		e.pending--
+		e.peekOK = false
+		return id
 	}
-	return false
+}
+
+// rebase is the ladder fallback: the wheel is empty, so nothing is
+// pending before overflowMin and the cursor can rebase there. Replaying
+// the ladder in schedule order re-splits it: events inside the new span
+// enter the wheel (equal-time FIFO intact), the rest stay behind with a
+// recomputed minimum.
+func (e *Engine) rebase() {
+	if len(e.overflow) == 0 {
+		panic("sim: pop from an empty engine")
+	}
+	e.cur = e.overflowMin
+	ovf := e.overflow
+	e.overflow = e.overflow[:0]
+	for _, id := range ovf {
+		// In-place refill over the shared backing array is safe: when
+		// entry i is read (copied out by range) at most i entries have
+		// been re-appended, so writes trail reads.
+		e.place(id, e.recs[id].at)
+	}
+}
+
+// cascade moves the record list headed by id, just unlinked from slot s
+// of level lvl, down one level (or more), advancing the cursor to the
+// slot's window start. Walking the list in order and tail-appending
+// keeps the per-instant FIFO intact: equal-time events can only share a
+// slot in schedule order.
+func (e *Engine) cascade(lvl, s int, id int32) {
+	shift := uint(lvl) * wheelBits
+	e.cur = e.cur&^(1<<(shift+wheelBits)-1) | Time(s)<<shift
+	for id != noEvent {
+		nxt := e.recs[id].next
+		e.place(id, e.recs[id].at)
+		id = nxt
+	}
 }
 
 // acquireRecord pops a free record index, growing the arena only when
@@ -466,9 +495,12 @@ func (e *Engine) cascade() bool {
 // still growing).
 func (e *Engine) acquireRecord() int32 {
 	e.acquired++
-	if n := len(e.free); n > 0 {
-		id := e.free[n-1]
-		e.free = e.free[:n-1]
+	if n := len(e.free) - 1; n >= 0 {
+		id := e.free[n]
+		e.free = e.free[:n]
+		if n < e.clean {
+			e.clean = n
+		}
 		return id
 	}
 	e.recs = append(e.recs, eventRecord{})
@@ -479,11 +511,11 @@ func (e *Engine) acquireRecord() int32 {
 // callback and context fields are deliberately NOT zeroed here: the
 // next schedule overwrites every field, so zeroing per event would pay
 // a typed memclr plus write barriers only to be overwritten. A free
-// record therefore pins its last ctx/fn until reuse — transiently,
+// record therefore pins its last call/ctx until reuse — transiently,
 // bounded by the arena (peak concurrent events), and in practice those
 // are pooled pipeline records that outlive the engine anyway. Run()
-// sweeps the arena clean once at drain so nothing outlives the
-// simulation it belongs to.
+// sweeps every record used since the previous drain, so nothing
+// outlives the simulation it belongs to.
 func (e *Engine) releaseRecord(id int32) {
 	e.released++
 	e.free = append(e.free, id)
@@ -506,12 +538,20 @@ func (e *Engine) Run() {
 			"sim: event pool leak: %d free of %d records after drain", len(e.free), len(e.recs))
 	}
 	// Drop callback/context references retained by free records (see
-	// releaseRecord): one arena sweep at drain instead of a typed memclr
-	// per event, so dispatched closures and their captures do not outlive
-	// the run.
-	for i := range e.recs {
-		e.recs[i].call, e.recs[i].ctx, e.recs[i].fn = nil, nil, nil
+	// releaseRecord): one sweep at drain instead of a typed memclr per
+	// event, so dispatched closures and their captures do not outlive the
+	// run.
+	e.sweep()
+}
+
+// sweep clears the callback references of every free record acquired
+// since the last sweep. The free list is LIFO, so those are exactly the
+// records above free[:clean]; the rest of the arena is already clean.
+func (e *Engine) sweep() {
+	for _, id := range e.free[e.clean:] {
+		e.recs[id].call, e.recs[id].ctx = nil, nil
 	}
+	e.clean = len(e.free)
 }
 
 // RunUntil dispatches events with time <= t, then sets the clock to t.
@@ -551,14 +591,10 @@ func (e *Engine) step() {
 	}
 	e.now = r.at
 	e.steps++
-	call, ctx, arg, fn := r.call, r.ctx, r.arg, r.fn
+	call, ctx, arg := r.call, r.ctx, r.arg
 	// Release before dispatch: the record (and its references) is
 	// already recycled when the callback runs, so a callback scheduling
 	// new events reuses it immediately.
 	e.releaseRecord(id)
-	if call != nil {
-		call(ctx, arg)
-	} else {
-		fn()
-	}
+	call(ctx, arg)
 }

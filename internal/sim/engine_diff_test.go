@@ -32,6 +32,14 @@ func (h *refHeap) Push(x any)    { *h = append(*h, x.(refEvent)) }
 func (h *refHeap) Pop() any      { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
 func (h refHeap) peek() refEvent { return h[0] }
 
+// simLatencies are the simulator's latency constants above the 256 ns
+// bottom window of the wheel: PCIe link latency, NVMe command overhead,
+// DMA launch, SSD write latency, host pinning overhead, SSD read
+// latency.
+var simLatencies = []Time{
+	900, 2 * Microsecond, 12 * Microsecond, 30 * Microsecond, 56 * Microsecond, 85 * Microsecond,
+}
+
 // diffRun replays one randomized schedule derived from data through both
 // queues and reports the first divergence. The op stream mixes near and
 // far deltas (level-0 hits, upper wheel levels, the overflow ladder),
@@ -54,9 +62,17 @@ func diffRun(t *testing.T, data []byte) {
 
 	// delta picks a scheduling offset biased toward the simulator's real
 	// mix (small constants) but regularly crossing wheel levels and the
-	// 2^32 overflow horizon, and landing equal-time bursts.
+	// 2^32 overflow horizon, and landing equal-time bursts. Runs whose
+	// first byte is 0xE0–0xEF draw every offset from simLatencies, the
+	// traffic the engine sees: almost all of it starts above level 0,
+	// where lone records dispatch without cascading.
+	simOnly := data[0]&0xF0 == 0xE0
 	delta := func() Time {
-		switch rng.Intn(8) {
+		k := rng.Intn(9)
+		if simOnly {
+			k = 8
+		}
+		switch k {
 		case 0:
 			return 0 // equal-time burst with whatever fired now
 		case 1, 2, 3:
@@ -67,8 +83,10 @@ func diffRun(t *testing.T, data []byte) {
 			return Time(rng.Intn(1 << 28)) // level 3
 		case 6:
 			return 1<<32 + Time(rng.Intn(1<<33)) // overflow ladder
-		default:
+		case 7:
 			return Time(rng.Intn(64)) * 200 // ComputePerAccess-like grid
+		default:
+			return simLatencies[rng.Intn(len(simLatencies))]
 		}
 	}
 	schedule := func(chain int) {
@@ -160,15 +178,19 @@ func TestEngineDifferential(t *testing.T) {
 	for seed := byte(0); seed < 64; seed++ {
 		diffRun(t, []byte{seed, byte(seed * 7), byte(255 - seed)})
 	}
+	for seed := byte(0); seed < 16; seed++ {
+		diffRun(t, []byte{0xE0 | seed, byte(seed * 11), 3})
+	}
 }
 
 // FuzzEngineDifferential drives the timing wheel and the reference heap
 // with identical randomized schedules and requires identical dispatch
 // sequences. CI runs a short -fuzz pass; the seed corpus below covers
 // each delta regime (level-0, upper levels, overflow, equal-time
-// bursts).
+// bursts, the simulator's own latencies).
 func FuzzEngineDifferential(f *testing.F) {
 	f.Add([]byte{0})
+	f.Add([]byte{0xE5, 9, 200}) // simLatencies only
 	f.Add([]byte{1, 2, 3})
 	f.Add([]byte{7, 7, 7, 7})
 	f.Add([]byte{42, 0, 255, 13, 101})

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -352,22 +353,38 @@ func TestPipeMinimumOccupancy(t *testing.T) {
 // collectable instead of lingering for the life of the engine. (Free
 // records may pin their last callback transiently DURING a run; the
 // drain sweep in Run bounds that retention to the simulation itself.)
+// Later runs reuse only part of the arena, and the sweep, which visits
+// just the records used since the previous one, must still catch them
+// all; so must Reset after a RunUntil drain.
 func TestPopReleasesDispatchedEvents(t *testing.T) {
 	e := NewEngine()
-	const n = 16
-	for i := 0; i < n; i++ {
-		i := i
-		e.At(Time(i), func() { _ = i })
-	}
-	e.Run()
-	if e.Pending() != 0 {
-		t.Fatalf("events remain after Run: %d", e.Pending())
-	}
-	for i := range e.recs {
-		r := &e.recs[i]
-		if r.fn != nil || r.call != nil || r.ctx != nil {
-			t.Fatalf("record %d still holds a dispatched event's callback", i)
+	swept := func(when string) {
+		t.Helper()
+		if e.Pending() != 0 {
+			t.Fatalf("%s: events remain: %d", when, e.Pending())
 		}
+		for i := range e.recs {
+			r := &e.recs[i]
+			if r.call != nil || r.ctx != nil {
+				t.Fatalf("%s: record %d still holds a dispatched event's callback", when, i)
+			}
+		}
+	}
+	const n = 16
+	for round, k := range []int{n, 1, 3, n / 2} {
+		for i := 0; i < k; i++ {
+			i := i
+			e.After(Time(i), func() { _ = i })
+		}
+		e.Run()
+		swept(fmt.Sprintf("Run, round %d", round))
+	}
+	e.AfterCall(5, CallFunc, func() {}, 0)
+	e.RunUntil(e.Now() + 10)
+	e.Reset()
+	swept("Reset")
+	if len(e.recs) != n {
+		t.Fatalf("arena grew to %d records, want %d", len(e.recs), n)
 	}
 }
 
@@ -584,6 +601,156 @@ func TestEngineCascadeFIFO(t *testing.T) {
 		if got[i] != i {
 			t.Fatalf("cascade broke FIFO: %v", got)
 		}
+	}
+}
+
+// slotLevel reports the wheel level holding the pending record due at
+// at, or -1 when no wheel slot holds one (overflow ladder, or gone).
+func slotLevel(e *Engine, at Time) int {
+	for lvl := 0; lvl < wheelLevels; lvl++ {
+		for s := 0; s < wheelSlots; s++ {
+			if e.occ[lvl][s>>6]&(1<<(uint(s)&63)) == 0 {
+				continue
+			}
+			for id := e.head[lvl][s]; id != noEvent; id = e.recs[id].next {
+				if e.recs[id].at == at {
+					return lvl
+				}
+			}
+		}
+	}
+	return -1
+}
+
+// stepExpect peeks, dispatches one event, and checks it was the one
+// tagged want, due at at, leaving clock and cursor on its time.
+func stepExpect(t *testing.T, e *Engine, got *[]int64, want int64, at Time) {
+	t.Helper()
+	if p, ok := e.Peek(); !ok || p != at {
+		t.Fatalf("Peek = %d,%v before dispatching %d, want %d", p, ok, want, at)
+	}
+	n := len(*got)
+	e.step()
+	if len(*got) != n+1 || (*got)[n] != want {
+		t.Fatalf("dispatched %v, want %d next", (*got)[n:], want)
+	}
+	if e.Now() != at || e.cur != at {
+		t.Fatalf("after dispatching %d: now=%d cur=%d, want both %d", want, e.Now(), e.cur, at)
+	}
+}
+
+// TestEngineLoneDispatch pins the lone-record rule. With level 0 empty,
+// a record alone in the earliest slot of an upper level dispatches
+// straight from there, and must leave the engine where walking it down
+// the levels would have: clock and cursor on its time, the peek cache
+// recomputed, and later events still in their slots.
+func TestEngineLoneDispatch(t *testing.T) {
+	for _, c := range []struct {
+		lvl       int
+		at, later Time
+	}{
+		{1, 900, 2 * Microsecond},
+		{2, 85 * Microsecond, 140 * Microsecond},
+		{3, 30 * Millisecond, 40 * Millisecond},
+	} {
+		e := NewEngine()
+		var got []int64
+		e.AtCall(c.at, countCall, &got, 1)
+		e.AtCall(c.later, countCall, &got, 2)
+		if lvl := slotLevel(e, c.at); lvl != c.lvl {
+			t.Fatalf("event at %d placed at level %d, want %d", c.at, lvl, c.lvl)
+		}
+		stepExpect(t, e, &got, 1, c.at)
+		if lvl := slotLevel(e, c.later); lvl != c.lvl {
+			t.Fatalf("level %d: later event moved to level %d", c.lvl, lvl)
+		}
+		// The cursor now sits on the dispatched time, so a short delay
+		// lands in the bottom window and overtakes the later event.
+		e.AfterCall(3, countCall, &got, 3)
+		if lvl := slotLevel(e, c.at+3); lvl != 0 {
+			t.Fatalf("level %d: follow-up placed at level %d, want 0", c.lvl, lvl)
+		}
+		stepExpect(t, e, &got, 3, c.at+3)
+		stepExpect(t, e, &got, 2, c.later)
+		if e.Pending() != 0 {
+			t.Fatalf("level %d: %d events left", c.lvl, e.Pending())
+		}
+	}
+}
+
+// TestEngineLoneDispatchAfterRebase dispatches lone records from levels
+// 1–3 right after the overflow ladder re-splits into the wheel.
+func TestEngineLoneDispatchAfterRebase(t *testing.T) {
+	e := NewEngine()
+	var got []int64
+	const far = Time(1) << 33
+	times := []Time{far, far + 900, far + 85*Microsecond, far + 30*Millisecond}
+	for i := len(times) - 1; i >= 0; i-- {
+		e.AtCall(times[i], countCall, &got, int64(i))
+	}
+	for _, at := range times {
+		if lvl := slotLevel(e, at); lvl != -1 {
+			t.Fatalf("event at %d in wheel level %d before the rebase", at, lvl)
+		}
+	}
+	stepExpect(t, e, &got, 0, far)
+	for i, at := range times[1:] {
+		if lvl := slotLevel(e, at); lvl != i+1 {
+			t.Fatalf("after rebase: event at %d on level %d, want %d", at, lvl, i+1)
+		}
+	}
+	for i, at := range times[1:] {
+		stepExpect(t, e, &got, int64(i+1), at)
+	}
+}
+
+// TestEngineRunUntilBetweenLoneEvents stops RunUntil between two lone
+// upper-level events and schedules into the gap.
+func TestEngineRunUntilBetweenLoneEvents(t *testing.T) {
+	e := NewEngine()
+	var got []int64
+	e.AtCall(85*Microsecond, countCall, &got, 1)
+	e.AtCall(140*Microsecond, countCall, &got, 2)
+	e.RunUntil(100 * Microsecond)
+	if len(got) != 1 || e.Now() != 100*Microsecond || e.Pending() != 1 {
+		t.Fatalf("RunUntil(100µs): fired %v, now %d, %d pending", got, e.Now(), e.Pending())
+	}
+	if at, ok := e.Peek(); !ok || at != 140*Microsecond {
+		t.Fatalf("Peek = %d,%v, want 140µs", at, ok)
+	}
+	e.AtCall(120*Microsecond, countCall, &got, 3)
+	if at, _ := e.Peek(); at != 120*Microsecond {
+		t.Fatalf("Peek = %d after scheduling into the gap, want 120µs", at)
+	}
+	e.RunUntil(140 * Microsecond)
+	if want := []int64{1, 3, 2}; len(got) != 3 || got[1] != want[1] || got[2] != want[2] {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+}
+
+// TestEngineQuiescentAfterLoneDispatch snapshots and resets an engine
+// whose last dispatch came straight from an upper level.
+func TestEngineQuiescentAfterLoneDispatch(t *testing.T) {
+	e := NewEngine()
+	var got []int64
+	e.AtCall(85*Microsecond, countCall, &got, 1)
+	stepExpect(t, e, &got, 1, 85*Microsecond)
+
+	child := NewEngineFrom(e.Snapshot())
+	child.AfterCall(900, countCall, &got, 2)
+	child.Run()
+	if child.Now() != 85*Microsecond+900 || child.Steps() != 2 {
+		t.Fatalf("child: now=%d steps=%d, want %d and 2", child.Now(), child.Steps(), 85*Microsecond+900)
+	}
+
+	e.Reset()
+	e.AtCall(900, countCall, &got, 3)
+	if lvl := slotLevel(e, 900); lvl != 1 {
+		t.Fatalf("after Reset: event at 900 on level %d, want 1", lvl)
+	}
+	stepExpect(t, e, &got, 3, 900)
+	if e.Steps() != 1 {
+		t.Fatalf("after Reset: steps=%d, want 1", e.Steps())
 	}
 }
 
