@@ -92,7 +92,7 @@ func BenchmarkSingleRun(b *testing.B) {
 // warmResident builds a runtime with every footprint page resident in
 // Tier-1 and quiescent — the steady state the hit benchmarks replay
 // against — plus a reusable batch of hitting accesses over it.
-func warmResident(eng *sim.Engine) (*core.Runtime, core.Config, []gpu.Access) {
+func warmResident(eng *sim.Engine) (*core.Runtime, []gpu.Access) {
 	cfg := core.DefaultConfig()
 	cfg.Policy = core.PolicyBaM
 	cfg.Tier1Pages = 256
@@ -107,7 +107,7 @@ func warmResident(eng *sim.Engine) (*core.Runtime, core.Config, []gpu.Access) {
 	for i := range batch {
 		batch[i] = gpu.Access{Page: tier.PageID(i % 128)}
 	}
-	return rt, cfg, batch
+	return rt, batch
 }
 
 // BenchmarkPerAccessHit measures the steady-state per-access cost of a
@@ -118,7 +118,7 @@ func warmResident(eng *sim.Engine) (*core.Runtime, core.Config, []gpu.Access) {
 // Steady state is 0 allocs/op. (BenchmarkAccessBatch measures the same
 // path per call; TestPerAccessAllocGate covers the scalar fallback.)
 func BenchmarkPerAccessHit(b *testing.B) {
-	rt, _, batch := warmResident(sim.NewEngine())
+	rt, batch := warmResident(sim.NewEngine())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for done := 0; done < b.N; {
@@ -134,7 +134,7 @@ func BenchmarkPerAccessHit(b *testing.B) {
 // 512-access resident batch — the per-call cost a hitting warp pays for
 // a whole run, including the batch-level counter fold. 0 allocs/op.
 func BenchmarkAccessBatch(b *testing.B) {
-	rt, _, batch := warmResident(sim.NewEngine())
+	rt, batch := warmResident(sim.NewEngine())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -143,27 +143,6 @@ func BenchmarkAccessBatch(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(batch)), "ns/access")
-}
-
-// BenchmarkForkedRun measures the steady-state hit path on a forked
-// child: the parent warms the footprint, freezes, and the child —
-// holding the page directory copy-on-write and a cloned Tier-1 —
-// replays resident hits through AccessSyncBatch. Inherited chunks must
-// serve reads without materializing, so this is 0 allocs/op too; any
-// allocation here means forking broke the hot path.
-func BenchmarkForkedRun(b *testing.B) {
-	eng := sim.NewEngine()
-	parent, cfg, batch := warmResident(eng)
-	child := parent.Fork(sim.NewEngineFrom(eng.Snapshot()), cfg)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for done := 0; done < b.N; {
-		n := child.AccessSyncBatch(batch, len(batch))
-		if n != len(batch) {
-			b.Fatalf("forked batch broke after %d of %d resident accesses", n, len(batch))
-		}
-		done += n
-	}
 }
 
 // warmMissTorture builds a runtime whose footprint (512 pages) is 2.7x

@@ -3,13 +3,12 @@ package main
 // In-process microbenchmarks and the benchmark regression gate. The
 // microbenchmarks mirror the repo's headline `go test -bench` set
 // (BenchmarkSingleRun, BenchmarkPerAccessHit, BenchmarkAccessBatch,
-// BenchmarkForkedRun, BenchmarkMissPath, BenchmarkEvictStorm) so a
-// committed BENCH_suite.json records the perf trajectory the CI gate
-// compares against without needing the test binary. The hit- and
-// miss-path benches additionally carry a hard 0 allocs/op gate
-// (zeroAllocMicro): -microbench itself fails when the steady-state
-// per-access path — scalar, batched, forked, missing, or evicting —
-// allocates.
+// BenchmarkMissPath, BenchmarkEvictStorm) so a committed
+// BENCH_suite.json records the perf trajectory the CI gate compares
+// against without needing the test binary. The hit- and miss-path
+// benches additionally carry a hard 0 allocs/op gate (zeroAllocMicro):
+// -microbench itself fails when the steady-state per-access path —
+// scalar, batched, missing, or evicting — allocates.
 
 import (
 	"encoding/json"
@@ -35,14 +34,14 @@ type benchMicro struct {
 }
 
 // zeroAllocMicro names the microbenchmarks whose steady state must be
-// allocation-free: the batched hit path (per access and per call) and
-// the same path on a forked child. -microbench exits 1 when any of them
-// reports a nonzero allocs/op, and -comparebench re-checks the committed
-// entries so the gate holds even on runs that skip -microbench locally.
+// allocation-free: the batched hit path (per access and per call), the
+// miss pipeline and the eviction cascade. -microbench exits 1 when any
+// of them reports a nonzero allocs/op, and -comparebench re-checks the
+// committed entries so the gate holds even on runs that skip
+// -microbench locally.
 var zeroAllocMicro = map[string]bool{
 	"PerAccessHit": true,
 	"AccessBatch":  true,
-	"ForkedRun":    true,
 	"MissPath":     true,
 	"EvictStorm":   true,
 }
@@ -70,7 +69,7 @@ func warmMissMicro(eng *sim.Engine, policy core.PolicyKind) (*core.Runtime, func
 // warmResidentMicro builds the steady state the hit benches replay: a
 // BaM runtime with the whole 128-page footprint resident and quiescent,
 // plus a 512-access hitting batch over it.
-func warmResidentMicro(eng *sim.Engine) (*core.Runtime, core.Config, []gpu.Access) {
+func warmResidentMicro(eng *sim.Engine) (*core.Runtime, []gpu.Access) {
 	cfg := core.DefaultConfig()
 	cfg.Policy = core.PolicyBaM
 	cfg.Tier1Pages = 256
@@ -85,13 +84,13 @@ func warmResidentMicro(eng *sim.Engine) (*core.Runtime, core.Config, []gpu.Acces
 	for i := range batch {
 		batch[i] = gpu.Access{Page: tier.PageID(i % 128)}
 	}
-	return rt, cfg, batch
+	return rt, batch
 }
 
 // runMicrobench runs the headline microbenchmarks: one complete
 // Figure 8-scale simulation (engine, runtime, GPU, devices; workload
 // generation excluded), the steady-state Tier-1 hit path per access and
-// per batch call, and the hit path on a forked child runtime.
+// per batch call, the all-miss pipeline and the dirty eviction storm.
 func runMicrobench() []benchMicro {
 	scale := workload.Scale{Tier1Pages: 256, Tier2Pages: 1024, Oversubscription: 2}
 	trace := workload.NewMultiVectorAdd(scale).Trace()
@@ -113,7 +112,7 @@ func runMicrobench() []benchMicro {
 	// Per-access cost on the batched hit path — the way hitting warps
 	// now stream runs through AccessSyncBatch; ns/op is per access.
 	hit := testing.Benchmark(func(b *testing.B) {
-		rt, _, batch := warmResidentMicro(sim.NewEngine())
+		rt, batch := warmResidentMicro(sim.NewEngine())
 		b.ReportAllocs()
 		b.ResetTimer()
 		for done := 0; done < b.N; {
@@ -126,29 +125,13 @@ func runMicrobench() []benchMicro {
 	})
 	// Per-call cost of one full 512-access batch.
 	accessBatch := testing.Benchmark(func(b *testing.B) {
-		rt, _, batch := warmResidentMicro(sim.NewEngine())
+		rt, batch := warmResidentMicro(sim.NewEngine())
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if n := rt.AccessSyncBatch(batch, len(batch)); n != len(batch) {
 				b.Fatalf("batch broke after %d of %d resident accesses", n, len(batch))
 			}
-		}
-	})
-	// The same per-access replay on a forked child: copy-on-write
-	// directory inheritance must keep the hot path allocation-free.
-	forkedRun := testing.Benchmark(func(b *testing.B) {
-		eng := sim.NewEngine()
-		parent, cfg, batch := warmResidentMicro(eng)
-		child := parent.Fork(sim.NewEngineFrom(eng.Snapshot()), cfg)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for done := 0; done < b.N; {
-			n := child.AccessSyncBatch(batch, len(batch))
-			if n != len(batch) {
-				b.Fatalf("forked batch broke after %d of %d resident accesses", n, len(batch))
-			}
-			done += n
 		}
 	})
 	// Steady-state miss pipeline: every access misses, fetches from
@@ -190,7 +173,6 @@ func runMicrobench() []benchMicro {
 		toMicro("SingleRun", single),
 		toMicro("PerAccessHit", hit),
 		toMicro("AccessBatch", accessBatch),
-		toMicro("ForkedRun", forkedRun),
 		toMicro("MissPath", missPath),
 		toMicro("EvictStorm", evictStorm),
 	}

@@ -25,19 +25,12 @@
 //	             (default GOMAXPROCS; 1 = fully sequential). Output is
 //	             byte-identical for any N: workers only fill the result
 //	             memo, rendering then replays the same sequential reads.
-//	-nofork      disable cross-sweep-point sharing (warm-up prefix
-//	             forking, canonical BaM run dedup, parent-trace reuse by
-//	             the sensitivity sub-suites): every sweep point generates
-//	             and simulates independently. Output is byte-identical
-//	             either way — the flag exists to measure the sharing
-//	             speedup honestly.
 //	-benchjson P write a machine-readable benchmark report (schema
 //	             gmt-bench-suite/v1: per-experiment wall clock and
 //	             allocation deltas, prewarm job/hit counts, estimated
 //	             speedup vs sequential) to P
 //	-microbench  also run the in-process microbenchmarks (SingleRun,
-//	             PerAccessHit, AccessBatch, ForkedRun, MissPath,
-//	             EvictStorm) and attach them to the report under
+//	             PerAccessHit, AccessBatch, MissPath, EvictStorm) and attach them to the report under
 //	             "microbench"; exits 1 when a hit- or miss-path bench
 //	             breaks its 0 allocs/op gate
 //	-comparebench P  compare this run's report against a committed
@@ -216,12 +209,10 @@ func main() {
 	svgDir := flag.String("svg", "", "directory to write SVG figures into")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
 		"worker goroutines prewarming simulations (1 = sequential)")
-	nofork := flag.Bool("nofork", false,
-		"disable warm-up prefix forking and cross-sweep-point sharing (byte-identical output, slower)")
 	benchjson := flag.String("benchjson", "",
 		"write a gmt-bench-suite/v1 JSON report to this path")
 	microbench := flag.Bool("microbench", false,
-		"also run the in-process microbenchmarks (SingleRun, PerAccessHit, AccessBatch, ForkedRun, MissPath, EvictStorm) and attach them to the report")
+		"also run the in-process microbenchmarks (SingleRun, PerAccessHit, AccessBatch, MissPath, EvictStorm) and attach them to the report")
 	comparebench := flag.String("comparebench", "",
 		"compare this run against a committed gmt-bench-suite/v1 baseline and exit 1 on regression")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this path")
@@ -290,7 +281,6 @@ func main() {
 					scale.Tier1Pages, scale.Tier2Pages, scale.Oversubscription)
 			}
 			suite = exp.NewSuite(scale)
-			suite.NoFork = *nofork
 		}
 		return suite
 	}

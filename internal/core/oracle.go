@@ -104,27 +104,26 @@ func (h oracleHeap) down(i int) {
 }
 
 // oracleAdvance is the oracle's per-access bookkeeping: it moves p's
-// next use to the stream's following reference of p and, for a Tier-1
-// resident, records the new key. A Tier-2 resident leaves Tier-2 on
-// this very access, and other pages push when they enter a tier.
+// next use (ps is p's state) to the stream's following reference of p
+// and, for a Tier-1 resident, records the new key. A Tier-2 resident
+// leaves Tier-2 on this very access, and other pages push when they
+// enter a tier.
 //
 //gmt:coldpath
-func (rt *Runtime) oracleAdvance(p tier.PageID, idx int64) *pageState {
+func (rt *Runtime) oracleAdvance(p tier.PageID, ps *pageState, idx int64) {
 	if idx >= int64(len(rt.nextOcc)) {
 		panic("core: access beyond Config.Future")
 	}
-	ps := rt.dir.own(p)
 	ps.nextUse = rt.nextOcc[idx]
 	if ps.loc == locTier1 {
 		rt.oracleTrack(rt.t1, &rt.t1Heap, p, ps)
 	}
-	return ps
 }
 
 // oracleTrack records resident p's current next use in h, the heap of
-// store. An empty heap (a fresh runtime, or a Fork child whose Tier-1
-// was cloned without one) or one grown past oracleStale entries per
-// resident is rebuilt from the store instead, which covers p.
+// store. An empty heap (the first insert of a fresh or Reset runtime)
+// or one grown past oracleStale entries per resident is rebuilt from
+// the store instead, which covers p.
 //
 //gmt:coldpath
 func (rt *Runtime) oracleTrack(store tier.Store, h *oracleHeap, p tier.PageID, ps *pageState) {
@@ -186,7 +185,6 @@ func (rt *Runtime) oracleEvict(ready sim.EventFunc, rctx any) {
 	victim, vps := rt.oracleVictim(rt.t1, &rt.t1Heap)
 	rt.t1.Remove(victim)
 	rt.clearT1Page(victim)
-	vps = rt.dir.own(victim)
 	vps.loc = locSSD
 	if vps.nextUse < 0 {
 		// Dead page: free (or a writeback if dirty).
@@ -208,7 +206,7 @@ func (rt *Runtime) oracleEvict(ready sim.EventFunc, rctx any) {
 	}
 	rt.t2.Remove(t2victim)
 	rt.m.Tier2Evictions++
-	rt.discard(t2victim, rt.dir.own(t2victim))
+	rt.discard(t2victim, t2ps)
 	rt.placeInTier2Delayed(victim, vps, rt.cfg.Tier2EvictOverhead, ready, rctx)
 }
 

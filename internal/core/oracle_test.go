@@ -111,60 +111,36 @@ func TestOracleHeapMatchesScan(t *testing.T) {
 	}
 }
 
-// TestOracleHeapForkedRuntime drives the heaps through forked oracle
-// runtimes. A child clones Tier-1 without a heap and must build one
-// before it relies on it: at its first Tier-1 hit (the split after the
-// warm-up) or at its first eviction (the longest eviction-free split).
-// Its picks must match the scan throughout, and the whole run must
-// match a parent that kept going.
-func TestOracleHeapForkedRuntime(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	warm := make([]gpu.Access, 0, 97)
-	for i := 0; i < 96; i++ {
-		warm = append(warm, gpu.Access{Page: tier.PageID(i % 32), Write: i%7 == 0})
-	}
-	warm = append(warm, gpu.Access{Page: 5}) // a Tier-1 hit right after the first split
-	trace := append(warm, oracleChurnTrace(rng, 3000, 400)...)
+// TestOracleHeapRecycledRuntime drives the heaps through a recycled
+// runtime, the way exp's unit pool serves the oracle study: a runtime
+// whose earlier oracle run left both tiers full and both heaps populated
+// is Reset to a new trace's config. Its picks must match the scan
+// throughout, and the run must match a fresh runtime's.
+func TestOracleHeapRecycledRuntime(t *testing.T) {
+	first := oracleChurnTrace(rand.New(rand.NewSource(5)), 2000, 300)
+	trace := oracleChurnTrace(rand.New(rand.NewSource(7)), 3000, 400)
 	cfg := oracleConfig(trace)
-	longest := EvictionFreePrefix(trace, cfg.Tier1Pages)
-	if longest < len(warm) {
-		t.Fatalf("prefix too short: %d", longest)
+
+	eng1 := sim.NewEngine()
+	fresh := NewRuntime(eng1, cfg)
+	oracleLockstep(t, eng1, fresh, trace)
+
+	eng2 := sim.NewEngine()
+	rt := NewRuntime(eng2, oracleConfig(first))
+	oracleLockstep(t, eng2, rt, first)
+	if len(rt.t1Heap) == 0 || len(rt.t2Heap) == 0 {
+		t.Fatal("first run left a heap empty; the Reset below tests nothing")
 	}
-	for _, k := range []int{len(warm) - 1, longest} {
-		eng1 := sim.NewEngine()
-		rt1 := NewRuntime(eng1, cfg)
-		runPhase(t, eng1, rt1, trace[:k], 8)
-		runPhase(t, eng1, rt1, trace[k:], 8)
-
-		eng2 := sim.NewEngine()
-		rt2 := NewRuntime(eng2, cfg)
-		runPhase(t, eng2, rt2, trace[:k], 8)
-		child := rt2.Fork(sim.NewEngineFrom(eng2.Snapshot()), cfg)
-		if len(child.t1Heap) != 0 || child.t1.Len() != cfg.Tier1Pages {
-			t.Fatalf("split %d: child starts with %d heap entries for %d Tier-1 residents, want an empty heap and a full tier",
-				k, len(child.t1Heap), child.t1.Len())
-		}
-		ceng := child.Engine()
-		gcfg := gpu.DefaultConfig()
-		gcfg.Warps = 8
-		g := gpu.New(ceng, gcfg, &gpu.SliceStream{Trace: trace[k:]}, child)
-		g.Launch()
-		for ceng.Pending() > 0 {
-			at, _ := ceng.Peek()
-			ceng.RunUntil(at)
-			oracleAgree(t, child)
-		}
-		if !g.Done() {
-			t.Fatalf("split %d: child kernel did not finish", k)
-		}
-		child.CheckInvariants()
-
-		if eng1.Now() != ceng.Now() {
-			t.Errorf("split %d: wall time: continuation %d, fork %d", k, eng1.Now(), ceng.Now())
-		}
-		if m1, m2 := rt1.Snapshot(), child.Snapshot(); m1 != m2 {
-			t.Errorf("split %d: metrics diverged:\ncontinuation: %+v\nfork:         %+v", k, m1, m2)
-		}
+	rt.Reset(cfg)
+	if checks := oracleLockstep(t, eng2, rt, trace); checks == 0 {
+		t.Fatal("recycled run made no heap checks")
+	}
+	if eng1.Now() != eng2.Now() || eng1.Steps() != eng2.Steps() {
+		t.Errorf("recycled run: now %d, %d steps; fresh: now %d, %d steps",
+			eng2.Now(), eng2.Steps(), eng1.Now(), eng1.Steps())
+	}
+	if m1, m2 := fresh.Snapshot(), rt.Snapshot(); m1 != m2 {
+		t.Errorf("metrics diverged:\nfresh:    %+v\nrecycled: %+v", m1, m2)
 	}
 }
 

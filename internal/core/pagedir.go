@@ -26,23 +26,9 @@ type pageDirectory struct {
 	chunks [][]pageState
 	cursor int // states carved from the arena (chunk = cursor>>shift)
 	free   []*pageState
-
-	// Copy-on-write fork state (child directories only; nil otherwise).
-	// base is the frozen parent's index: dir starts as a copy of it, so
-	// entries point into the parent's arena until their page-ID chunk is
-	// materialized. owned[c] records that ID-chunk c (pages [c<<pageChunkShift,
-	// (c+1)<<pageChunkShift)) has been copied into this directory's own
-	// arena; chunks at or beyond len(base) hold no shared entries and are
-	// implicitly owned. Materialization is chunk-granular so a child that
-	// dirties one page of a region pays one copy, and the *pageState
-	// pointers it hands out after materialization are stable forever
-	// (the arena never moves).
-	base  []*pageState
-	owned []bool
 }
 
-// pageChunkSize is the arena growth quantum (structs per chunk) and the
-// CoW materialization granule.
+// pageChunkSize is the arena growth quantum (structs per chunk).
 const (
 	pageChunkShift = 10
 	pageChunkSize  = 1 << pageChunkShift
@@ -124,94 +110,13 @@ func (d *pageDirectory) alloc() *pageState {
 
 // reset empties the directory, retaining the index capacity and the
 // state arena: the next run re-carves the same chunks instead of
-// re-allocating its footprint. Forked directories cannot reset — their
-// index aliases a parent's arena, and resetting would not return the
-// shared storage.
+// re-allocating its footprint.
 func (d *pageDirectory) reset() {
-	if d.base != nil {
-		panic("core: reset of a forked page directory")
-	}
 	for i := range d.dir {
 		d.dir[i] = nil
 	}
 	d.free = d.free[:0]
 	d.cursor = 0
-}
-
-// fork returns a copy-on-write child of d. The child shares d's
-// pageStates through a copied index until a chunk is materialized; d
-// itself must be frozen by the caller (the parent runtime never runs
-// again), since a parent mutation would be visible through every
-// unmaterialized chunk.
-func (d *pageDirectory) fork() pageDirectory {
-	base := d.dir
-	return pageDirectory{
-		dir:   append([]*pageState(nil), base...),
-		base:  base,
-		owned: make([]bool, (len(base)+pageChunkSize-1)>>pageChunkShift),
-	}
-}
-
-// writable reports whether p's state may be mutated in place: always in
-// a non-forked directory, and in a forked one once p's chunk has been
-// materialized. The batch hit path consults it before setting dirty
-// bits.
-//
-//gmt:hotpath
-func (d *pageDirectory) writable(p tier.PageID) bool {
-	if d.base == nil {
-		return true
-	}
-	c := int(p >> pageChunkShift)
-	return c >= len(d.owned) || d.owned[c]
-}
-
-// own returns p's mutable state, materializing its chunk first in a
-// forked directory. p must already have a directory entry. Callers must
-// use the returned pointer: a pointer read before the first own() of a
-// chunk refers to the parent's (frozen) state.
-//
-//gmt:hotpath
-func (d *pageDirectory) own(p tier.PageID) *pageState {
-	if d.base == nil {
-		return d.dir[p]
-	}
-	return d.ownSlow(p)
-}
-
-//gmt:coldpath
-func (d *pageDirectory) ownSlow(p tier.PageID) *pageState {
-	c := int(p >> pageChunkShift)
-	if c < len(d.owned) && !d.owned[c] {
-		d.materializeChunk(c)
-	}
-	return d.dir[p]
-}
-
-// materializeChunk deep-copies ID-chunk c's shared entries into this
-// directory's arena. Only entries still aliased to the parent move
-// (pages first referenced by the child already live in its arena). The
-// waiter queue is nilled rather than copied: a parent is only forked
-// at quiescence, where no waiter queue is live, and sharing nodes
-// across the fork would alias the parent's free list.
-//
-//gmt:coldpath
-func (d *pageDirectory) materializeChunk(c int) {
-	lo := c << pageChunkShift
-	hi := lo + pageChunkSize
-	if hi > len(d.base) {
-		hi = len(d.base)
-	}
-	for p := lo; p < hi; p++ {
-		if d.base[p] == nil || d.dir[p] != d.base[p] {
-			continue
-		}
-		ps := d.alloc()
-		*ps = *d.base[p]
-		ps.waitHead, ps.waitTail = nil, nil
-		d.dir[p] = ps
-	}
-	d.owned[c] = true
 }
 
 // each calls fn for every referenced page in ascending page-ID order.

@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"github.com/gmtsim/gmt/internal/sim"
 	"github.com/gmtsim/gmt/internal/tier"
 )
 
@@ -53,91 +52,5 @@ func TestPageDirectoryChunkCarving(t *testing.T) {
 		if ps.evictVTD != int64(p) {
 			t.Fatalf("page %d: state corrupted after growth", p)
 		}
-	}
-}
-
-// TestPageDirectoryForkCoW covers the fork path: shared reads, chunk
-// materialization on own(), parent isolation, and child-local pages.
-func TestPageDirectoryForkCoW(t *testing.T) {
-	var parent pageDirectory
-	for p := tier.PageID(0); p < pageChunkSize+10; p++ {
-		parent.lookup(p).evictVTD = int64(p) + 100
-	}
-
-	child := parent.fork()
-
-	// Unmaterialized entries alias the parent.
-	if child.dir[5] != parent.dir[5] {
-		t.Fatal("fresh fork does not share parent states")
-	}
-	if child.writable(5) {
-		t.Fatal("shared chunk reported writable")
-	}
-
-	// own() materializes page 5's whole chunk, and only that chunk.
-	ps := child.own(5)
-	if ps == parent.dir[5] {
-		t.Fatal("own returned the parent's state")
-	}
-	if ps.evictVTD != 105 {
-		t.Fatalf("materialized copy lost state: evictVTD = %d", ps.evictVTD)
-	}
-	if !child.writable(5) || !child.writable(pageChunkSize-1) {
-		t.Fatal("materialized chunk not writable")
-	}
-	if child.writable(pageChunkSize) {
-		t.Fatal("neighboring chunk materialized eagerly")
-	}
-	if child.dir[pageChunkSize] != parent.dir[pageChunkSize] {
-		t.Fatal("neighboring chunk no longer shared")
-	}
-
-	// Pointer stability: own() is idempotent after materialization.
-	ps.dirty = true
-	if again := child.own(5); again != ps {
-		t.Fatal("pointer changed after materialization")
-	}
-	if parent.dir[5].dirty {
-		t.Fatal("child write leaked into the parent")
-	}
-
-	// A page the child references first lives in its own arena and
-	// survives later materialization of its chunk.
-	fresh := child.lookup(pageChunkSize + 2000) // beyond the parent
-	fresh.evictVTD = 7
-	if got := child.own(pageChunkSize + 2000); got != fresh {
-		t.Fatal("child-local page rebased by own")
-	}
-
-	// Materializing a chunk that holds a mix of shared and child-first
-	// entries copies only the shared ones.
-	sharedBefore := child.dir[pageChunkSize+1]
-	if sharedBefore != parent.dir[pageChunkSize+1] {
-		t.Fatal("setup: expected shared entry")
-	}
-	got := child.own(pageChunkSize + 1)
-	if got == sharedBefore {
-		t.Fatal("shared entry not copied by materialization")
-	}
-	if got.evictVTD != int64(pageChunkSize+1)+100 {
-		t.Fatalf("copy lost state: evictVTD = %d", got.evictVTD)
-	}
-}
-
-// TestPageDirectoryForkWaitersNiled asserts materialization drops any
-// waiter queue instead of aliasing its nodes across the fork.
-func TestPageDirectoryForkWaitersNiled(t *testing.T) {
-	var parent pageDirectory
-	ps := parent.lookup(3)
-	node := &waiterNode{call: sim.CallFunc, ctx: func() {}}
-	ps.waitHead, ps.waitTail = node, node
-
-	child := parent.fork()
-	cps := child.own(3)
-	if cps.waitHead != nil || cps.waitTail != nil {
-		t.Fatal("materialized state aliases the parent's waiter queue")
-	}
-	if parent.dir[3].waitHead != node {
-		t.Fatal("parent waiter queue disturbed")
 	}
 }

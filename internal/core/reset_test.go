@@ -3,9 +3,41 @@ package core
 import (
 	"testing"
 
+	"github.com/gmtsim/gmt/internal/gpu"
 	"github.com/gmtsim/gmt/internal/sim"
 	"github.com/gmtsim/gmt/internal/tier"
 )
+
+// warmTailTrace builds a trace whose head touches exactly warm distinct
+// pages (an eviction-free warm-up) and whose tail oversubscribes
+// Tier-1, forcing evictions, Tier-2 traffic, and re-fetches.
+func warmTailTrace(warm, tail, footprint int) []gpu.Access {
+	tr := make([]gpu.Access, 0, warm*2+tail)
+	for i := 0; i < warm*2; i++ {
+		tr = append(tr, gpu.Access{Page: tier.PageID(i % warm), Write: i%11 == 0})
+	}
+	for i := 0; i < tail; i++ {
+		tr = append(tr, gpu.Access{Page: tier.PageID(i * 7919 % footprint), Write: i%13 == 0})
+		if (i+1)%300 == 0 {
+			tr = append(tr, gpu.Barrier)
+		}
+	}
+	return tr
+}
+
+// runKernel launches one kernel over trace on the given engine/runtime
+// and drains it.
+func runKernel(t *testing.T, eng *sim.Engine, rt *Runtime, trace []gpu.Access, warps int) {
+	t.Helper()
+	gcfg := gpu.DefaultConfig()
+	gcfg.Warps = warps
+	g := gpu.New(eng, gcfg, &gpu.SliceStream{Trace: trace}, rt)
+	g.Launch()
+	eng.Run()
+	if !g.Done() {
+		t.Fatal("kernel did not finish")
+	}
+}
 
 // resetConfigs is the differential-test matrix: consecutive entries
 // exercise both Reset branches per component — shape-compatible (reset
@@ -66,7 +98,7 @@ func resetConfigs() []Config {
 // metrics snapshot — to a freshly constructed runtime under cfg.
 func TestResetMatchesFresh(t *testing.T) {
 	configs := resetConfigs()
-	trace := forkTrace(128, 3000, 512)
+	trace := warmTailTrace(128, 3000, 512)
 
 	// Fresh references, one per config.
 	type ref struct {
@@ -78,7 +110,7 @@ func TestResetMatchesFresh(t *testing.T) {
 	for i, cfg := range configs {
 		eng := sim.NewEngine()
 		rt := NewRuntime(eng, cfg)
-		runPhase(t, eng, rt, trace, 16)
+		runKernel(t, eng, rt, trace, 16)
 		refs[i] = ref{now: eng.Now(), steps: eng.Steps()}
 		snaps[i] = rt.Snapshot()
 	}
@@ -91,7 +123,7 @@ func TestResetMatchesFresh(t *testing.T) {
 		if i > 0 {
 			rt.Reset(cfg)
 		}
-		runPhase(t, eng, rt, trace, 16)
+		runKernel(t, eng, rt, trace, 16)
 		if eng.Now() != refs[i].now {
 			t.Errorf("config %d (%v): wall time: fresh %d, recycled %d",
 				i, cfg.Policy, refs[i].now, eng.Now())
@@ -106,34 +138,4 @@ func TestResetMatchesFresh(t *testing.T) {
 		}
 		rt.CheckInvariants()
 	}
-}
-
-// TestResetForkedPanics pins the aliasing guard: neither a frozen fork
-// parent nor a forked child may be recycled — the parent's arena is
-// shared with its children, and the child's directory aliases the
-// parent's.
-func TestResetForkedPanics(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Policy = PolicyReuse
-	cfg.Tier1Pages = 128
-	cfg.Tier2Pages = 256
-	cfg.FootprintPages = 512
-	trace := forkTrace(128, 0, 512)
-
-	eng := sim.NewEngine()
-	parent := NewRuntime(eng, cfg)
-	runPhase(t, eng, parent, trace, 16)
-	child := parent.Fork(sim.NewEngineFrom(eng.Snapshot()), cfg)
-
-	mustPanic := func(what string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", what)
-			}
-		}()
-		fn()
-	}
-	mustPanic("Reset of frozen parent", func() { parent.Reset(cfg) })
-	mustPanic("Reset of forked child", func() { child.Reset(cfg) })
 }

@@ -244,6 +244,16 @@ func DefaultConfig() Config {
 	}
 }
 
+// BaMEquivalent returns cfg with the fields a PolicyBaM run never reads
+// zeroed: Tier2Pages (BaM has no Tier-2) and Seed (BaM makes no
+// placement draws). BaM configs with equal BaMEquivalent simulate
+// identically, which is what lets exp reuse one BaM run across sweep
+// points that differ only in those fields.
+func BaMEquivalent(cfg Config) Config {
+	cfg.Tier2Pages, cfg.Seed = 0, 0
+	return cfg
+}
+
 type location uint8
 
 const (
@@ -352,8 +362,7 @@ type Runtime struct {
 	t1page []int32
 	// batchOK gates AccessSyncBatch: false when any per-access side
 	// effect the batch cannot replicate is configured (history
-	// snapshots, prefetch, oracle future tracking) or the runtime was
-	// frozen by Fork.
+	// snapshots, prefetch, oracle future tracking).
 	batchOK bool
 
 	dir pageDirectory
@@ -403,15 +412,6 @@ type Runtime struct {
 	// reuseNS collects Tier-2 time-to-first-reuse intervals when
 	// Config.TrackTier2Reuse is set (nil otherwise).
 	reuseNS []int64
-
-	// frozen marks a runtime that has been forked: its state is shared
-	// copy-on-write with children and must never change again. Mutating
-	// entry points assert against it under -tags gmtinvariants.
-	frozen bool
-	// statsBase carries the SSD counters a forked child inherited from
-	// its parent's prefix; Snapshot folds them in so a forked run
-	// reports the same drive totals a monolithic run would.
-	statsBase nvme.Stats
 }
 
 var _ gpu.SyncMemoryManager = (*Runtime)(nil)
@@ -485,8 +485,7 @@ func newStorage(eng *sim.Engine, cfg Config) Storage {
 
 // newTier2 builds the Tier-2 store for cfg (nil under PolicyBaM): the
 // configured override, Clock under TierOrder (§2.1.1), FIFO otherwise
-// (§2.2). Shared between NewRuntime and Fork, which gives each child a
-// fresh, empty store.
+// (§2.2).
 func newTier2(cfg Config) tier.Store {
 	if cfg.Policy == PolicyBaM {
 		return nil
@@ -519,16 +518,7 @@ func newTier2(cfg Config) tier.Store {
 // Devices and tier structures whose shape cfg changes (different drive
 // config, lane count, capacities, or Tier-2 policy) are rebuilt rather
 // than reset; everything shape-compatible is reset in place.
-//
-// Reset panics on a forked runtime: a frozen parent's state is aliased
-// by its children, and a child's directory aliases its parent's arena.
 func (rt *Runtime) Reset(cfg Config) {
-	if rt.frozen {
-		panic("core: Reset of a frozen (forked) runtime")
-	}
-	if rt.dir.base != nil {
-		panic("core: Reset of a forked child runtime")
-	}
 	if cfg.Tier1Pages < 1 {
 		panic("core: Tier1Pages must be >= 1")
 	}
@@ -600,7 +590,6 @@ func (rt *Runtime) Reset(cfg Config) {
 	rt.m = stats.Run{}
 	rt.history = rt.history[:0]
 	rt.reuseNS = nil
-	rt.statsBase = nvme.Stats{}
 	if cfg.Policy == PolicyReuse {
 		rt.sampler = reuse.NewSampler(cfg.SampleTarget, cfg.SampleBatch)
 		rt.sampler.SetPipelined(!cfg.UnpipelinedRegression)
@@ -707,8 +696,7 @@ func nextOccurrences(future []tier.PageID) []int64 {
 	return next
 }
 
-// Engine exposes the engine this runtime schedules on (for forked
-// children, the engine passed to Fork).
+// Engine exposes the engine this runtime schedules on.
 func (rt *Runtime) Engine() *sim.Engine { return rt.eng }
 
 // SSD exposes the simulated drive (for experiment-level stats).
@@ -779,17 +767,12 @@ func (rt *Runtime) AccessSyncCall(a gpu.Access, call sim.EventFunc, ctx any, arg
 		ps = rt.dir.lookupSlow(a.Page)
 	}
 	if rt.nextOcc != nil {
-		ps = rt.oracleAdvance(a.Page, idx)
+		rt.oracleAdvance(a.Page, ps, idx)
 	}
 	if ps.loc == locTier1 {
 		rt.m.Tier1Hits++
 		rt.t1.TouchSlot(ps.t1slot)
 		if a.Write {
-			// A write to a fork-inherited page materializes its chunk
-			// first; the dirty bit must land on this runtime's copy.
-			if !rt.dir.writable(a.Page) {
-				ps = rt.dir.ownSlow(a.Page)
-			}
 			ps.dirty = true
 		}
 		if ps.prefetched {
@@ -800,10 +783,6 @@ func (rt *Runtime) AccessSyncCall(a gpu.Access, call sim.EventFunc, ctx any, arg
 	}
 	switch ps.loc {
 	case locInFlight:
-		// In-flight pages were materialized when their fetch began, so
-		// the waiter append below never lands on shared state.
-		invariant.Assert(rt.dir.writable(a.Page),
-			"core: in-flight page %d aliases a fork parent", a.Page)
 		rt.m.InFlightJoins++
 		if a.Write {
 			ps.pendingDirty = true
@@ -814,11 +793,9 @@ func (rt *Runtime) AccessSyncCall(a gpu.Access, call sim.EventFunc, ctx any, arg
 		}
 		rt.queueWaiter(ps, call, ctx, arg)
 	case locTier2:
-		ps = rt.dir.own(a.Page)
 		rt.evaluateEviction(ps, idx)
 		rt.fetchFromTier2(a, ps, call, ctx, arg)
 	case locSSD:
-		ps = rt.dir.own(a.Page)
 		rt.evaluateEviction(ps, idx)
 		rt.fetchFromSSD(a, ps, call, ctx, arg)
 	default:
@@ -833,8 +810,7 @@ func (rt *Runtime) AccessSyncCall(a gpu.Access, call sim.EventFunc, ctx any, arg
 // — slot touch, dirty bit on writes, reuse-sampler observation — with
 // the counters (vtd, accesses, hits) applied once per batch. The run
 // stops at the first non-hit: a barrier sentinel, a page outside the
-// directory, a miss, or a write to a fork-inherited page that has not
-// been materialized yet (the scalar path copies it first). Whole
+// Tier-1 probe array, or a miss. Whole
 // configurations whose per-access side effects cannot be replayed in
 // bulk (history snapshots, prefetch, the oracle's future cursor) refuse
 // batching outright via batchOK and fall back to AccessSync.
@@ -873,7 +849,7 @@ func (rt *Runtime) AccessSyncBatch(accs []gpu.Access, max int) int {
 			if uint64(a.Page) < uint64(len(dir)) {
 				ps = dir[a.Page]
 			}
-			if ps == nil || !rt.dir.writable(a.Page) {
+			if ps == nil {
 				break
 			}
 			ps.dirty = true
@@ -1121,7 +1097,6 @@ func (rt *Runtime) prefetchAfter(p tier.PageID) {
 		if rt.t1.Len()+rt.reserved >= rt.t1.Capacity() {
 			return // no free slot; prefetch never evicts
 		}
-		qs = rt.dir.own(q)
 		rt.reserved++
 		qs.loc = locInFlight
 		qs.prefetched = true
@@ -1252,7 +1227,7 @@ func (rt *Runtime) growT1Page(n int64) {
 //
 //gmt:hotpath
 func (rt *Runtime) install(p tier.PageID) {
-	ps := rt.dir.own(p)
+	ps := rt.page(p)
 	rt.reserved--
 	ps.t1slot = rt.t1.InsertSlot(p)
 	ps.loc = locTier1
@@ -1306,7 +1281,7 @@ func (rt *Runtime) evictTier1(ready sim.EventFunc, rctx any) {
 	}
 	rt.t1.Remove(victim)
 	rt.clearT1Page(victim)
-	ps := rt.dir.own(victim)
+	ps := rt.page(victim)
 	ps.loc = locSSD // provisional; placement may move it to Tier-2
 	if rt.cfg.Policy == PolicyReuse {
 		ps.evictVTD = rt.vtd
@@ -1451,7 +1426,7 @@ func psCoinPlaced(v *pageState) bool  { return v.coinPlaced }
 //gmt:hotpath
 func (rt *Runtime) reclaimTier2(eligible func(*pageState) bool) bool {
 	v := rt.t2.Victim()
-	vps := rt.dir.own(v)
+	vps := rt.page(v)
 	if !eligible(vps) {
 		return false
 	}
@@ -1492,7 +1467,7 @@ func (rt *Runtime) placeInTier2Evicting(victim tier.PageID, ps *pageState, ready
 		t2v := rt.t2.Victim()
 		rt.t2.Remove(t2v)
 		rt.m.Tier2Evictions++
-		rt.discard(t2v, rt.dir.own(t2v))
+		rt.discard(t2v, rt.page(t2v))
 		// The replacement pass over host-resident metadata delays the
 		// warp before it can start the placement transfer.
 		overhead = rt.cfg.Tier2EvictOverhead
@@ -1608,13 +1583,10 @@ func (rt *Runtime) discard(p tier.PageID, ps *pageState) {
 func (rt *Runtime) Snapshot() stats.Run {
 	m := rt.m
 	ds := rt.ssd.Stats()
-	// statsBase is the prefix contribution a forked child inherited
-	// (zero for ordinary runtimes): fold it in so forked and monolithic
-	// runs report identical drive totals.
-	m.SSDReads = rt.statsBase.Reads + ds.Reads
-	m.SSDWrites = rt.statsBase.Writes + ds.Writes
-	m.SSDReadBytes = rt.statsBase.ReadBytes + ds.ReadBytes
-	m.SSDWriteBytes = rt.statsBase.WriteBytes + ds.WriteBytes
+	m.SSDReads = ds.Reads
+	m.SSDWrites = ds.Writes
+	m.SSDReadBytes = ds.ReadBytes
+	m.SSDWriteBytes = ds.WriteBytes
 	if rt.sampler != nil {
 		m.RegressionBatches = int64(rt.sampler.Batches())
 		m.SamplePairs = int64(rt.sampler.Pairs())

@@ -2,11 +2,13 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"github.com/gmtsim/gmt/internal/gpu"
 	"github.com/gmtsim/gmt/internal/sim"
+	"github.com/gmtsim/gmt/internal/stats"
 	"github.com/gmtsim/gmt/internal/tier"
 )
 
@@ -80,6 +82,60 @@ func TestBaMNeverTouchesTier2(t *testing.T) {
 	}
 	if rt.Tier2Resident() != 0 {
 		t.Fatal("BaM has Tier-2 residents")
+	}
+}
+
+// TestBaMEquivalentRunsIdentical pins what whole-run BaM reuse relies
+// on: a BaM config changed in one field keeps its clock, dispatched
+// event count and metrics whenever BaMEquivalent maps it to the
+// unchanged config's value. The candidate changes include fields BaM
+// reads, so a BaMEquivalent that also dropped one of them fails here.
+func TestBaMEquivalentRunsIdentical(t *testing.T) {
+	base := DefaultConfig()
+	base.Policy = PolicyBaM
+	base.Tier1Pages = 64
+	base.Tier2Pages = 128
+	base.FootprintPages = 256
+	base.Seed = 3
+	trace := warmTailTrace(64, 3000, 256)
+	type result struct {
+		now   sim.Time
+		steps int64
+		m     stats.Run
+	}
+	runOf := func(cfg Config) result {
+		eng := sim.NewEngine()
+		rt := NewRuntime(eng, cfg)
+		runKernel(t, eng, rt, trace, 16)
+		return result{eng.Now(), eng.Steps(), rt.Snapshot()}
+	}
+	want := runOf(base)
+	for _, c := range []struct {
+		field string
+		// dropped fields must map to base's BaMEquivalent.
+		dropped bool
+		mutate  func(*Config)
+	}{
+		{"Tier2Pages", true, func(c *Config) { c.Tier2Pages = 512 }},
+		{"Seed", true, func(c *Config) { c.Seed = 99 }},
+		{"Tier1Pages", false, func(c *Config) { c.Tier1Pages = 48 }},
+		{"PageSize", false, func(c *Config) { c.PageSize *= 2 }},
+		{"SSDCount", false, func(c *Config) { c.SSDCount = 2 }},
+		{"PrefetchDegree", false, func(c *Config) { c.PrefetchDegree = 2 }},
+	} {
+		cfg := base
+		c.mutate(&cfg)
+		same := reflect.DeepEqual(BaMEquivalent(cfg), BaMEquivalent(base))
+		if c.dropped && !same {
+			t.Errorf("%s: BaMEquivalent keeps a field BaM never reads", c.field)
+		}
+		if !same {
+			continue
+		}
+		if got := runOf(cfg); got != want {
+			t.Errorf("%s: BaMEquivalent drops it, but the run changed:\nbase:    %+v\nchanged: %+v",
+				c.field, want, got)
+		}
 	}
 }
 

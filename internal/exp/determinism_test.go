@@ -47,30 +47,6 @@ func TestKVServeByteIdentical(t *testing.T) {
 	}
 }
 
-// TestSweepForkNoForkIdentical is the forking contract end to end: the
-// sensitivity sweeps (Figures 11–13) and the KV-serving grid must
-// render byte-identically whether sweep points fork shared warm-up
-// parents (and dedup BaM runs, and share parent traces) or simulate
-// everything independently with NoFork. This is what makes gmtbench
-// -nofork a pure performance baseline.
-func TestSweepForkNoForkIdentical(t *testing.T) {
-	render := func(nofork bool) string {
-		s := NewSuite(workload.Scale{Tier1Pages: 128, Tier2Pages: 512, Oversubscription: 2})
-		s.NoFork = nofork
-		rows11, tbl11 := Figure11(s)
-		rows12, tbl12 := Figure12(s)
-		rows13, tbl13 := Figure13(s)
-		rowsKV, tblKV := KVServe(s)
-		return tbl11.Render() + tbl12.Render() + tbl13.Render() + tblKV.Render() +
-			fmt.Sprintf("%#v%#v%#v%#v", rows11, rows12, rows13, rowsKV)
-	}
-	forked, independent := render(false), render(true)
-	if forked != independent {
-		t.Fatalf("forked sweep diverged from the NoFork sweep:\n--- forked ---\n%s\n--- nofork ---\n%s",
-			forked, independent)
-	}
-}
-
 // TestParallelPrewarmByteIdentical is the parallel-path determinism
 // gate: prewarming the suite on a multi-worker pool and then rendering
 // must produce byte-identical output to a fully sequential run — the
@@ -78,8 +54,8 @@ func TestSweepForkNoForkIdentical(t *testing.T) {
 // be invisible. Runs with -race in CI, which also exercises the suite
 // lock under real contention.
 func TestParallelPrewarmByteIdentical(t *testing.T) {
-	// fig12 rides along to cover the forked path: its prefix parents are
-	// built and forked from concurrent workers.
+	// fig12 rides along to cover phased runs and cross-suite BaM reuse:
+	// its sub-suites take pooled units from concurrent workers.
 	experiments := []string{"fig8", "fig9", "fig12", "fig14", "kvserve"}
 	render := func(workers int) string {
 		s := NewSuite(workload.Scale{Tier1Pages: 256, Tier2Pages: 1024, Oversubscription: 2})

@@ -12,26 +12,9 @@ import (
 )
 
 // RunConfig simulates a workload under an explicit runtime
-// configuration, memoized under key.
+// configuration as one kernel, memoized under key.
 func (s *Suite) RunConfig(key string, w workload.Workload, cfg core.Config) stats.Run {
-	if cfg.FootprintPages == 0 {
-		cfg.FootprintPages = int(w.Pages())
-	}
-	gcfg := s.GPU
-	return s.memoRun(w.Name()+"/"+key, func() stats.Run {
-		eng := sim.NewEngine()
-		rt := core.NewRuntime(eng, cfg)
-		g := gpu.New(eng, gcfg, &gpu.SliceStream{Trace: s.Trace(w)}, rt)
-		g.Launch()
-		eng.Run()
-		if !g.Done() {
-			panic(fmt.Sprintf("exp: %s under %s did not finish", w.Name(), key))
-		}
-		m := rt.Snapshot()
-		m.App = w.Name()
-		m.WallTime = eng.Now()
-		return m
-	})
+	return s.runConfig(key, w, cfg, false)
 }
 
 // RunOracle simulates the offline Belady-style upper bound. The bound

@@ -333,8 +333,8 @@ var figure12Ratios = []int{2, 4, 8}
 // figure12Suites derives one sub-suite per Tier-2:Tier-1 ratio. The
 // ratio sweep varies only host-memory capacity, so every sub-suite
 // adopts the parent's datasets: traces are shared across ratios, and
-// the phased runs fork one warm-up parent per app and policy class
-// (Tier-2 sizing is prefix-inert; see core.PrefixConfig).
+// each app's BaM run, which never reads Tier-2, is simulated once for
+// all three (core.BaMEquivalent).
 func (s *Suite) figure12Suites() map[int]*Suite {
 	base := s.Scale
 	suites := make(map[int]*Suite)

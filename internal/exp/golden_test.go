@@ -14,39 +14,52 @@ import (
 var update = flag.Bool("update", false, "rewrite the committed golden outputs under testdata/")
 
 // TestQuickGoldens pins absolute output, not just agreement between
-// execution paths: the quarter-scale rows of Figures 8 and 14 and the
-// oracle study, encoded exactly as `gmtbench -quick -json fig8 fig14
-// oracle` prints them, must equal the committed bytes. Together they
-// cover every policy's simulation, the HMM baseline and the oracle's
-// victim selection. After an intended change of output, refresh with
+// execution paths: each file under testdata holds the bytes `gmtbench
+// -quick -json` prints for its experiments, and the same experiments
+// rendered on a fresh quarter-scale suite must equal them. Figures 8
+// and 14 and the oracle study cover every policy's simulation, the HMM
+// baseline and the oracle's victim selection; Figures 11–13 and the
+// KV-serving study cover the sensitivity sub-suites, dataset adoption,
+// cross-suite BaM dedup and runs split at the eviction-free prefix.
+// After an intended change of output, refresh with
 //
 //	go test ./internal/exp -run TestQuickGoldens -update
 func TestQuickGoldens(t *testing.T) {
-	s := NewSuite(workload.Scale{Tier1Pages: 256, Tier2Pages: 1024, Oversubscription: 2, DatasetSeed: 42})
-	var got bytes.Buffer
-	for _, name := range []string{"fig8", "fig14", "oracle"} {
-		rows, _, ok := RunExperiment(func() *Suite { return s }, name, nil)
-		if !ok {
-			t.Fatalf("unknown experiment %q", name)
-		}
-		if err := EncodeExperiment(&got, name, rows); err != nil {
-			t.Fatal(err)
-		}
-	}
-	path := filepath.Join("testdata", "quick_fig8_fig14_oracle.json")
-	if *update {
-		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Fatalf("quick fig8/fig14/oracle output differs from %s (rerun with -update only if the change is intended):\n%s",
-			path, firstDiff(want, got.Bytes()))
+	for _, c := range []struct {
+		file        string
+		experiments []string
+	}{
+		{"quick_fig8_fig14_oracle.json", []string{"fig8", "fig14", "oracle"}},
+		{"quick_fig11_fig12_fig13_kvserve.json", []string{"fig11", "fig12", "fig13", "kvserve"}},
+	} {
+		t.Run(c.file, func(t *testing.T) {
+			s := NewSuite(workload.Scale{Tier1Pages: 256, Tier2Pages: 1024, Oversubscription: 2, DatasetSeed: 42})
+			var got bytes.Buffer
+			for _, name := range c.experiments {
+				rows, _, ok := RunExperiment(func() *Suite { return s }, name, nil)
+				if !ok {
+					t.Fatalf("unknown experiment %q", name)
+				}
+				if err := EncodeExperiment(&got, name, rows); err != nil {
+					t.Fatal(err)
+				}
+			}
+			path := filepath.Join("testdata", c.file)
+			if *update {
+				if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Fatalf("quick %v output differs from %s (rerun with -update only if the change is intended):\n%s",
+					c.experiments, path, firstDiff(want, got.Bytes()))
+			}
+		})
 	}
 }
 

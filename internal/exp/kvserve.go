@@ -52,11 +52,11 @@ func KVServe(s *Suite) ([]KVServeRow, *stats.Table) {
 	t := stats.NewTable("KV-cache serving: Tier-2 replacement policy study (open-loop arrivals)",
 		"Policy", "T2 hit rate", "reuse p50", "reuse p99", "samples", "SSD reads", "speedup vs clock")
 	baseKey, baseCfg := s.kvConfig(tier.StoreClock)
-	base := s.RunConfigPhased(baseKey, w, baseCfg)
+	base := s.runConfig(baseKey, w, baseCfg, true)
 	var rows []KVServeRow
 	for _, p := range KVPolicies {
 		key, cfg := s.kvConfig(p)
-		m := s.RunConfigPhased(key, w, cfg)
+		m := s.runConfig(key, w, cfg, true)
 		r := KVServeRow{
 			Policy:           string(p),
 			Tier2HitRate:     m.Tier2HitRate(),

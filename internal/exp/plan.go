@@ -41,9 +41,7 @@ type Phase struct {
 // Plan walks the requested experiments and collects the deduplicated
 // set of jobs they will need, grouped into phases: trace generation
 // first (the Kronecker/CSR graph build rides along via the lazy
-// GraphSet), then the shared warm-up prefix parents of phased sweeps
-// (so the simulate fan-out forks instead of serializing on prefix
-// singleflights), then all statically known simulations, then dependent
+// GraphSet), then all statically known simulations, then dependent
 // simulations. The plan is an optimization only — any job the planner
 // misses is computed lazily (and sequentially) when the experiment
 // renders, so results never depend on planner completeness.
@@ -52,11 +50,7 @@ func Plan(s *Suite, experiments []string) []Phase {
 	for _, e := range experiments {
 		pl.addExperiment(s, e)
 	}
-	phases := []Phase{{Name: "traces", Jobs: pl.traces}}
-	if len(pl.prefixes) > 0 {
-		phases = append(phases, Phase{Name: "prefixes", Jobs: pl.prefixes})
-	}
-	phases = append(phases, Phase{Name: "simulate", Jobs: pl.sims})
+	phases := []Phase{{Name: "traces", Jobs: pl.traces}, {Name: "simulate", Jobs: pl.sims}}
 	if len(pl.more) > 0 {
 		more := pl.more
 		phases = append(phases, Phase{Name: "dependent", More: func() []Job {
@@ -78,11 +72,10 @@ func Plan(s *Suite, experiments []string) []Phase {
 }
 
 type planner struct {
-	seen     map[string]bool
-	traces   []Job
-	prefixes []Job
-	sims     []Job
-	more     []func() []Job
+	seen   map[string]bool
+	traces []Job
+	sims   []Job
+	more   []func() []Job
 }
 
 // allPolicies is BaM plus the three GMT policies, the sweep most
@@ -159,9 +152,9 @@ func (pl *planner) addExperiment(s *Suite, name string) {
 		pl.addPolicySweep(s, appNames(s), []core.PolicyKind{core.PolicyReuse})
 		for _, n := range appNames(s) {
 			asyncKey, asyncCfg := s.reuseAsyncConfig()
-			pl.addConfig(s, n, asyncKey, asyncCfg)
+			pl.addConfig(s, n, asyncKey, asyncCfg, false)
 			pfKey, pfCfg := s.reusePrefetchConfig()
-			pl.addConfig(s, n, pfKey, pfCfg)
+			pl.addConfig(s, n, pfKey, pfCfg, false)
 		}
 	case "ssd":
 		pl.addTraces(s, SensitivityApps)
@@ -169,13 +162,13 @@ func (pl *planner) addExperiment(s *Suite, name string) {
 			for _, g := range SSDGens {
 				for _, p := range []core.PolicyKind{core.PolicyBaM, core.PolicyReuse} {
 					key, cfg := s.ssdGenConfig(g, p)
-					pl.addConfig(s, app, key, cfg)
+					pl.addConfig(s, app, key, cfg, false)
 				}
 			}
 			for _, c := range SSDCounts {
 				for _, p := range []core.PolicyKind{core.PolicyBaM, core.PolicyReuse} {
 					key, cfg := s.ssdCountConfig(c, p)
-					pl.addConfig(s, app, key, cfg)
+					pl.addConfig(s, app, key, cfg, false)
 				}
 			}
 		}
@@ -184,13 +177,13 @@ func (pl *planner) addExperiment(s *Suite, name string) {
 		for _, n := range appNames(s) {
 			for _, pk := range Predictors {
 				key, cfg := s.predictorConfig(pk)
-				pl.addConfig(s, n, key, cfg)
+				pl.addConfig(s, n, key, cfg, false)
 			}
 		}
 	case "kvserve":
 		for _, p := range KVPolicies {
 			key, cfg := s.kvConfig(p)
-			pl.addConfigPhased(s, workload.KVServeName, key, cfg)
+			pl.addConfig(s, workload.KVServeName, key, cfg, true)
 		}
 	case "warmup":
 		// The warmup study's pipelined/unpipelined runs need the
@@ -240,9 +233,6 @@ func (pl *planner) addPolicySweep(s *Suite, names []string, policies []core.Poli
 	for _, n := range names {
 		for _, p := range policies {
 			p := p
-			if s.phased {
-				pl.addPrefix(s, n, s.config(p))
-			}
 			key := s.label + "|run|" + n + "/" + p.String()
 			if pl.seen[key] {
 				continue
@@ -254,28 +244,8 @@ func (pl *planner) addPolicySweep(s *Suite, names []string, policies []core.Poli
 	}
 }
 
-// addPrefix queues one warm-up parent build per canonical prefix class
-// (core.PrefixConfig): the job key is the class key itself, global
-// rather than label-prefixed, so sweep points from different sub-suites
-// sharing a class (fig12's three ratios, TierOrder+Random anywhere)
-// collapse to a single job.
-func (pl *planner) addPrefix(s *Suite, name string, cfg core.Config) {
-	if s.NoFork || !phasedEligible(cfg) {
-		return
-	}
-	w := appByName(s, name)
-	if cfg.FootprintPages == 0 {
-		cfg.FootprintPages = int(w.Pages())
-	}
-	key := fmt.Sprintf("prefix|%s|gpu=%+v|cfg=%+v", s.dataKey(w), s.GPU, core.PrefixConfig(cfg))
-	if pl.seen[key] {
-		return
-	}
-	pl.seen[key] = true
-	pl.prefixes = append(pl.prefixes, Job{Key: key, Run: func() { s.WarmPrefix(w, cfg) }})
-}
-
-func (pl *planner) addConfig(s *Suite, name, cfgKey string, cfg core.Config) {
+// addConfig queues one runConfig job; split is runConfig's.
+func (pl *planner) addConfig(s *Suite, name, cfgKey string, cfg core.Config, split bool) {
 	pl.addTrace(s, name)
 	key := s.label + "|cfg|" + name + "/" + cfgKey
 	if pl.seen[key] {
@@ -283,21 +253,7 @@ func (pl *planner) addConfig(s *Suite, name, cfgKey string, cfg core.Config) {
 	}
 	pl.seen[key] = true
 	w := appByName(s, name)
-	pl.sims = append(pl.sims, Job{Key: key, Run: func() { s.RunConfig(cfgKey, w, cfg) }})
-}
-
-// addConfigPhased is addConfig for grids run via RunConfigPhased; it
-// also queues the grid's shared warm-up parent.
-func (pl *planner) addConfigPhased(s *Suite, name, cfgKey string, cfg core.Config) {
-	pl.addTrace(s, name)
-	pl.addPrefix(s, name, cfg)
-	key := s.label + "|cfg|" + name + "/" + cfgKey
-	if pl.seen[key] {
-		return
-	}
-	pl.seen[key] = true
-	w := appByName(s, name)
-	pl.sims = append(pl.sims, Job{Key: key, Run: func() { s.RunConfigPhased(cfgKey, w, cfg) }})
+	pl.sims = append(pl.sims, Job{Key: key, Run: func() { s.runConfig(cfgKey, w, cfg, split) }})
 }
 
 func (pl *planner) addHMM(s *Suite, name string, rate float64) {

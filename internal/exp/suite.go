@@ -39,20 +39,11 @@ type Suite struct {
 	GPU   gpu.Config
 	Seed  int64
 
-	// NoFork disables cross-sweep-point sharing: warm-up prefix forking,
-	// canonical BaM run dedup, and parent-trace reuse by derived
-	// sub-suites (each regenerates its own identical copies instead).
-	// Phased runs still split at the same points, so every result stays
-	// byte-identical with or without it — gmtbench -nofork uses this to
-	// measure the sharing speedup honestly. Set before first use.
-	NoFork bool
-
 	// phased marks a sensitivity sub-suite whose simulations split at
-	// the eviction-free warm-up prefix (runPhased), letting sweep points
-	// that agree on the prefix fork one shared warm-up parent. data,
-	// when non-nil, is the suite whose workloads and trace memo this
-	// suite borrows (the sweep varies the machine, not the datasets);
-	// share holds the root's cross-suite caches (phased.go).
+	// the eviction-free warm-up prefix (simulate). data, when non-nil,
+	// is the suite whose workloads and trace memo this suite borrows
+	// (the sweep varies the machine, not the datasets); share holds the
+	// root's cross-suite BaM results (phased.go).
 	phased bool
 	data   *Suite
 	share  *shareCache
@@ -62,7 +53,7 @@ type Suite struct {
 	kvApp workload.Workload // lazily built KV-serving workload
 
 	// unitMu guards units, the pool of recycled {engine, runtime} pairs
-	// monolithic simulations draw from (phased.go): a finished run's
+	// every simulation draws from (phased.go): a finished run's
 	// page-directory arena, tier arrays, and event arena are reset and
 	// reused by the next sweep point instead of reallocated. Results are
 	// byte-identical either way (core.Runtime.Reset's contract).
@@ -112,7 +103,6 @@ func (s *Suite) WithSeed(seed int64) *Suite {
 	sub := NewSuite(s.Scale)
 	sub.Seed = seed
 	sub.GPU = s.GPU
-	sub.NoFork = s.NoFork
 	sub.adoptData(s)
 	return sub
 }
@@ -296,9 +286,6 @@ func (s *Suite) derived(key string, mk func() *Suite) *Suite {
 	if sub.GPU != s.GPU {
 		sub.GPU = s.GPU
 	}
-	if sub.NoFork != s.NoFork {
-		sub.NoFork = s.NoFork
-	}
 	return sub
 }
 
@@ -313,14 +300,21 @@ func (s *Suite) config(p core.PolicyKind) core.Config {
 }
 
 // Run simulates the workload under a GMT policy (or BaM), returning the
-// run metrics with WallTime filled in. Results are memoized.
+// run metrics with WallTime filled in. Results are memoized. A BaM run
+// is computed once per root suite for all sub-suites that agree on
+// its dataset and core.BaMEquivalent config; phased sub-suites split
+// the other policies' runs at the eviction-free prefix.
 //
 //gmt:blocking
 func (s *Suite) Run(w workload.Workload, p core.PolicyKind) stats.Run {
 	cfg := s.config(p)
 	cfg.FootprintPages = int(w.Pages())
 	return s.memoRun(w.Name()+"/"+p.String(), func() stats.Run {
-		return s.simulate(w, cfg)
+		if p == core.PolicyBaM {
+			key := fmt.Sprintf("bam|%s|gpu=%+v|cfg=%+v", s.dataKey(w), s.GPU, core.BaMEquivalent(cfg))
+			return s.share.run(key, func() stats.Run { return s.simulate(w, cfg, false) })
+		}
+		return s.simulate(w, cfg, s.phased)
 	})
 }
 

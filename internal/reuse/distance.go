@@ -96,25 +96,6 @@ func (t *DistanceTracker) grow(p int) {
 	t.last = nv
 }
 
-// Clone returns a deep copy of the tracker.
-func (t *DistanceTracker) Clone() *DistanceTracker {
-	nt := &DistanceTracker{
-		last: append([]int64(nil), t.last...),
-		pos:  t.pos,
-	}
-	if t.lastNeg != nil {
-		nt.lastNeg = make(map[tier.PageID]int, len(t.lastNeg))
-		for p, v := range t.lastNeg {
-			nt.lastNeg[p] = v
-		}
-	}
-	nt.bit = fenwick{
-		tree: append([]int64(nil), t.bit.tree...),
-		raw:  append([]int64(nil), t.bit.raw...),
-	}
-	return nt
-}
-
 // Accesses reports how many accesses have been observed.
 func (t *DistanceTracker) Accesses() int { return t.pos }
 

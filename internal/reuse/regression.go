@@ -118,15 +118,6 @@ func (s *Sampler) publish() {
 	s.batches++
 }
 
-// Clone returns a deep copy of the sampler mid-stream: a forked runtime
-// continues observing exactly where the parent's prefix left off, with
-// its own tracker and accumulator state.
-func (s *Sampler) Clone() *Sampler {
-	ns := *s
-	ns.tracker = s.tracker.Clone()
-	return &ns
-}
-
 // Coeffs reports the most recently published regression.
 func (s *Sampler) Coeffs() Coeffs { return s.coeffs }
 

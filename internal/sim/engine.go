@@ -183,9 +183,9 @@ func NewEngine() *Engine { return &Engine{} }
 // Reset returns a quiescent engine to the state NewEngine constructs,
 // retaining the event-record arena so the next run schedules into
 // already-allocated records instead of re-growing the pool. It panics if
-// events are pending: like Snapshot, a reset is only defined at
-// quiescence, where the wheel and the overflow ladder are structurally
-// empty and the clock plus counters are the entire state.
+// events are pending: a reset is only defined at quiescence, where the
+// wheel and the overflow ladder are structurally empty and the clock
+// plus counters are the entire state.
 //
 // The free list keeps whatever pop order the previous run left it in.
 // That is behavior-neutral: record indices only name storage; dispatch
@@ -218,40 +218,6 @@ func (e *Engine) Reset() {
 	// sweep the way Run does), so nothing scheduled in the previous run
 	// outlives it through the free list.
 	e.sweep()
-}
-
-// Snapshot is the compact state of a quiescent engine: with no events
-// pending, the wheel, the overflow ladder, and the record arena are all
-// structurally empty, so the clock and the determinism counters are the
-// entire state. Runtime forking (core.Runtime.Fork) captures one after
-// a warm-up prefix and hydrates any number of child engines from it.
-type Snapshot struct {
-	now   Time
-	seq   int64
-	steps int64
-}
-
-// Now reports the captured virtual time.
-func (s Snapshot) Now() Time { return s.now }
-
-// Snapshot captures the engine's state. It panics if events are still
-// pending: forks are only defined at quiescence, where the wheel is
-// empty and the snapshot is exact rather than a deep copy.
-func (e *Engine) Snapshot() Snapshot {
-	if e.pending != 0 {
-		panic(fmt.Sprintf("sim: Snapshot with %d events pending", e.pending))
-	}
-	return Snapshot{now: e.now, seq: e.seq, steps: e.steps}
-}
-
-// NewEngineFrom returns a fresh engine whose clock, sequence counter,
-// and dispatch count continue from snap. The wheel cursor rebases to
-// the snapshot time, which preserves the placement invariant (every
-// future event is >= now >= cur); because the sequence counter also
-// continues, equal-time tie-breaking in a child matches what the parent
-// engine would have done had it kept running.
-func NewEngineFrom(snap Snapshot) *Engine {
-	return &Engine{now: snap.now, cur: snap.now, seq: snap.seq, steps: snap.steps}
 }
 
 // Now reports the current virtual time.

@@ -345,23 +345,6 @@ func (c *Clock) Reject(p PageID) {
 	}
 }
 
-// Clone returns a deep copy of the clock: same residents, same slot
-// assignment, same reference bits, same hand. A forked runtime's Tier-1
-// must replay the exact victim sequence the parent's would have, so
-// every structural detail — including free-list pop order — is copied.
-func (c *Clock) Clone() *Clock {
-	nc := &Clock{
-		slots: append([]PageID(nil), c.slots...),
-		ref:   append([]uint64(nil), c.ref...),
-		occ:   append([]uint64(nil), c.occ...),
-		free:  append([]int(nil), c.free...),
-		hand:  c.hand,
-		n:     c.n,
-	}
-	nc.index.v = append([]int32(nil), c.index.v...)
-	return nc
-}
-
 // Contains reports residency.
 func (c *Clock) Contains(p PageID) bool { return c.index.get(p) != noSlot }
 
