@@ -11,10 +11,10 @@
 //
 // Flags:
 //
-//	-nodes N       fleet size (default 16)
+//	-nodes N       fleet size (default 16, at most 4096)
 //	-templates S   weighted template mix, e.g. "a100:3,h100:1"
 //	-router NAME   hash | wrr (default hash)
-//	-requests N    total requests (default 24 per node)
+//	-requests N    total requests (default 24 per node, at most 2^20)
 //	-rate R        base arrival rate in req/s (default 8 per node)
 //	-seed N        node runtime seed offset
 //	-t2policy P    Tier-2 replacement policy: clock|fifo|lru-2|2q

@@ -21,10 +21,16 @@ type ScalingPoint struct {
 // stream FIXED: the same traffic spread over more nodes, so the sweep
 // shows how fleet growth absorbs a given load (queueing latency falls,
 // per-node cache pressure eases) rather than re-scaling the offered
-// load with the fleet.
+// load with the fleet. Every size is checked against the fleet size
+// limits before any runs.
 //
 //gmt:blocking
 func ScalingSweep(ctx context.Context, base Config, sizes []int, workers int, clock func() int64) ([]ScalingPoint, error) {
+	for _, n := range sizes {
+		if err := checkSize(n, base.Stream.Requests); err != nil {
+			return nil, err
+		}
+	}
 	var out []ScalingPoint
 	for _, n := range sizes {
 		cfg := base

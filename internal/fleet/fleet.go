@@ -10,6 +10,7 @@ import (
 
 	"github.com/gmtsim/gmt/internal/core"
 	"github.com/gmtsim/gmt/internal/exp"
+	"github.com/gmtsim/gmt/internal/gpu"
 	"github.com/gmtsim/gmt/internal/sim"
 	"github.com/gmtsim/gmt/internal/stats"
 	"github.com/gmtsim/gmt/internal/tier"
@@ -62,6 +63,26 @@ type Options struct {
 	Tier2Policy string
 }
 
+// Size limits on fleets specified from outside the process (CLI flags,
+// a gmtd job). They sit far above the 256-node benchmark fleet, and
+// keep what a run materializes up front — the whole shared stream,
+// whose request IDs are int32, and per-node bookkeeping — bounded.
+const (
+	maxNodes    = 4096
+	maxRequests = 1 << 20
+)
+
+// checkSize rejects fleets beyond the size limits.
+func checkSize(nodes, requests int) error {
+	if nodes > maxNodes {
+		return fmt.Errorf("fleet: %d nodes exceeds the limit of %d", nodes, maxNodes)
+	}
+	if requests > maxRequests {
+		return fmt.Errorf("fleet: %d requests exceeds the limit of %d", requests, maxRequests)
+	}
+	return nil
+}
+
 // FromOptions validates and resolves options into a Config. Zero
 // Requests/Rate keep the node-scaled defaults; Seed seeds the node
 // runtimes (the stream keeps its own fixed seed so traffic is
@@ -88,6 +109,9 @@ func FromOptions(o Options) (Config, error) {
 	}
 	if o.Requests > 0 {
 		cfg.Stream.Requests = o.Requests
+	}
+	if err := checkSize(cfg.Nodes, cfg.Stream.Requests); err != nil {
+		return Config{}, err
 	}
 	if o.Rate < 0 {
 		return Config{}, fmt.Errorf("fleet: negative arrival rate %v", o.Rate)
@@ -159,11 +183,26 @@ type Result struct {
 	Fleet     Summary           `json:"fleet"`
 }
 
-// unit is one recyclable {engine, runtime} pair; the fleet pool mirrors
-// exp's suite pool so a 256-node run builds only workers-many runtimes.
+// unit is one recyclable simulation context: an {engine, runtime}
+// pair, the GPU every request kernel resets and relaunches, and the
+// buffer each request's accesses are emitted into. The fleet pool
+// mirrors exp's suite pool, so a 256-node run builds only workers-many
+// units and, once they are warm, simulating a request allocates nothing.
 type unit struct {
-	eng *sim.Engine
-	rt  *core.Runtime
+	eng    *sim.Engine
+	rt     *core.Runtime
+	gpu    *gpu.GPU
+	stream gpu.SliceStream
+	buf    []gpu.Access
+}
+
+// newUnit builds a unit whose runtime and GPU start with the given
+// shapes.
+func newUnit(ccfg core.Config, gcfg gpu.Config) *unit {
+	eng := sim.NewEngine()
+	u := &unit{eng: eng, rt: core.NewRuntime(eng, ccfg)}
+	u.gpu = gpu.New(eng, gcfg, &u.stream, u.rt)
+	return u
 }
 
 // Run executes the fleet: generate the shared stream, route it, and
@@ -195,7 +234,7 @@ func Run(ctx context.Context, cfg Config, workers int, clock func() int64) (Resu
 		mu   sync.Mutex
 		pool []*unit
 	)
-	acquire := func(ccfg core.Config) *unit {
+	acquire := func(ccfg core.Config, gcfg gpu.Config) *unit {
 		mu.Lock()
 		var u *unit
 		if n := len(pool); n > 0 {
@@ -205,8 +244,7 @@ func Run(ctx context.Context, cfg Config, workers int, clock func() int64) (Resu
 		}
 		mu.Unlock()
 		if u == nil {
-			eng := sim.NewEngine()
-			return &unit{eng: eng, rt: core.NewRuntime(eng, ccfg)}
+			return newUnit(ccfg, gcfg)
 		}
 		u.rt.Reset(ccfg)
 		return u
@@ -225,11 +263,10 @@ func Run(ctx context.Context, cfg Config, workers int, clock func() int64) (Resu
 		jobs[i] = exp.Job{
 			Key: fmt.Sprintf("node-%d", i),
 			Run: func() {
-				trace, segs, footprint := buildNodeTrace(tpl, cfg.Stream, perNode[i])
 				ccfg := tpl.coreConfig(cfg.Seed+int64(i), cfg.Tier2Policy)
-				ccfg.FootprintPages = int(footprint)
-				u := acquire(ccfg)
-				outcomes[i] = simulateNode(u.eng, u.rt, tpl.gpuConfig(), trace, segs, perNode[i])
+				ccfg.FootprintPages = int(nodeFootprint(tpl, cfg.Stream, perNode[i]))
+				u := acquire(ccfg, tpl.gpuConfig())
+				outcomes[i] = simulateNode(u, tpl, cfg.Stream, perNode[i])
 				release(u)
 			},
 		}

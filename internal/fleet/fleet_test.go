@@ -6,6 +6,10 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+
+	"github.com/gmtsim/gmt/internal/gpu"
+	"github.com/gmtsim/gmt/internal/invariant"
+	"github.com/gmtsim/gmt/internal/raceflag"
 )
 
 // TestStreamSplitDeterministic pins the seeded-stream splitting
@@ -122,9 +126,17 @@ func TestFromOptionsErrors(t *testing.T) {
 		{Nodes: 4, Requests: -1},
 		{Nodes: 4, Rate: -1},
 		{Nodes: 4, Tier2Policy: "mru"},
+		{Nodes: 10_000_000},
+		{Nodes: maxNodes + 1, Requests: 100},
+		{Nodes: 4, Requests: maxRequests + 1},
 	} {
 		if _, err := FromOptions(o); err == nil {
 			t.Errorf("FromOptions(%+v) succeeded, want error", o)
+		}
+	}
+	for _, o := range []Options{{Nodes: maxNodes}, {Nodes: 1, Requests: maxRequests}} {
+		if _, err := FromOptions(o); err != nil {
+			t.Errorf("FromOptions(%+v) at the size limits: %v", o, err)
 		}
 	}
 	cfg, err := FromOptions(Options{Nodes: 4, Templates: "h100", Router: "wrr", Requests: 10, Seed: 7, Tier2Policy: "2q"})
@@ -235,5 +247,73 @@ func TestScalingSweepDeterministic(t *testing.T) {
 	svg := ScalingSVG(a).SVG()
 	if svg == "" || ScalingTable(a).Render() == "" {
 		t.Error("empty figure or table")
+	}
+}
+
+// TestScalingSweepSizeLimits: -scaling sizes bypass FromOptions, so the
+// sweep checks them itself, before simulating any size.
+func TestScalingSweepSizeLimits(t *testing.T) {
+	base := DefaultConfig(4)
+	base.Stream.Requests = 48
+	if out, err := ScalingSweep(context.Background(), base, []int{2, maxNodes + 1}, 1, nil); err == nil || out != nil {
+		t.Errorf("sweep to %d nodes: points %v, err %v; want a size error and no points", maxNodes+1, out, err)
+	}
+	base.Stream.Requests = maxRequests + 1
+	if _, err := ScalingSweep(context.Background(), base, []int{2}, 1, nil); err == nil {
+		t.Errorf("sweep of %d requests succeeded, want a size error", base.Stream.Requests)
+	}
+}
+
+// TestNodeFootprintIsPageBound: the footprint a node's runtime is
+// presized to, computed without emitting any access, must be exactly
+// the page-ID bound (max page + 1) of the accesses its requests emit,
+// and the emitter's final cursor.
+func TestNodeFootprintIsPageBound(t *testing.T) {
+	cfg := DefaultConfig(16)
+	reqs := GenerateStream(cfg.Stream)
+	for _, tpl := range cfg.Templates {
+		pp := tpl.prefixPages()
+		layout := nodeLayout{prefixPages: pp, cursor: int64(cfg.Stream.Prefixes * pp)}
+		var buf []gpu.Access
+		maxPage := int64(-1)
+		for _, r := range reqs {
+			buf = layout.emit(buf[:0], r)
+			for _, a := range buf {
+				maxPage = max(maxPage, int64(a.Page))
+			}
+		}
+		fp := nodeFootprint(tpl, cfg.Stream, reqs)
+		if fp != maxPage+1 || fp != layout.cursor {
+			t.Errorf("%s: footprint %d, page bound %d, final cursor %d", tpl.Name, fp, maxPage+1, layout.cursor)
+		}
+	}
+}
+
+// TestFleetNodeAllocGate pins the per-request cost of a node
+// simulation at zero allocations once its unit is warm: every request's
+// accesses go into the unit's recycled buffer and every kernel resets
+// the unit's one GPU. A 384-request node (the whole 16-node stream)
+// may allocate only its per-node records — the latency slice, the
+// digest, the runtime's reset — not anything per request.
+func TestFleetNodeAllocGate(t *testing.T) {
+	if raceflag.Enabled || invariant.Enabled {
+		t.Skip("allocation gates run on the default build only")
+	}
+	cfg := DefaultConfig(16)
+	reqs := GenerateStream(cfg.Stream)
+	tpl := cfg.Templates[0]
+	ccfg := tpl.coreConfig(cfg.Seed, cfg.Tier2Policy)
+	ccfg.FootprintPages = int(nodeFootprint(tpl, cfg.Stream, reqs))
+	u := newUnit(ccfg, tpl.gpuConfig())
+	simulateNode(u, tpl, cfg.Stream, reqs)
+	for _, n := range []int{24, 96, 384} {
+		allocs := testing.AllocsPerRun(3, func() {
+			u.rt.Reset(ccfg)
+			simulateNode(u, tpl, cfg.Stream, reqs[:n])
+		})
+		t.Logf("%d requests: %.0f allocs per node", n, allocs)
+		if allocs >= 64 {
+			t.Errorf("%d-request node = %.0f allocs, want < 64 (nothing per request)", n, allocs)
+		}
 	}
 }

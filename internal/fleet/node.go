@@ -3,7 +3,6 @@ package fleet
 import (
 	"fmt"
 
-	"github.com/gmtsim/gmt/internal/core"
 	"github.com/gmtsim/gmt/internal/gpu"
 	"github.com/gmtsim/gmt/internal/sim"
 	"github.com/gmtsim/gmt/internal/stats"
@@ -41,104 +40,109 @@ type nodeOutcome struct {
 	lastDone sim.Time
 }
 
-// buildNodeTrace lays the node's routed requests out as one access
-// trace with per-request segment boundaries. Page layout: the shared
-// prefix pool (replicated on every node) occupies the low pages; each
-// request's prompt and generated KV pages are carved off a private
-// cursor above it. The trace is a pure function of (template, stream
-// shape, routed sub-stream) — no randomness.
-//
-// segs[i] is the end (exclusive) trace index of request i.
-func buildNodeTrace(tpl Template, stream StreamConfig, reqs []Request) (trace []gpu.Access, segs []int, footprint int64) {
-	pp := tpl.prefixPages()
-	cursor := int64(stream.Prefixes * pp)
-	segs = make([]int, len(reqs))
-	read := func(p int64) { trace = append(trace, gpu.Access{Page: tier.PageID(p)}) }
-	write := func(p int64) { trace = append(trace, gpu.Access{Page: tier.PageID(p), Write: true}) }
-	for i, r := range reqs {
-		prefixStart := int64(r.Prefix) * int64(pp)
-		readPrefix := func() {
-			for p := 0; p < pp; p++ {
-				read(prefixStart + int64(p))
-			}
-		}
-		promptLen := int(r.PromptPages)
-		promptStart := cursor
-		cursor += int64(promptLen)
-		genLen := int(r.DecodeSteps) / stepsPerPage
-		genStart := cursor
-		cursor += int64(genLen)
-		ctxPage := func(i int) int64 {
-			if i < promptLen {
-				return promptStart + int64(i)
-			}
-			return genStart + int64(i-promptLen)
-		}
-
-		// Prefill: attend over the shared prefix, append the prompt KV.
-		readPrefix()
-		for p := int64(0); p < int64(promptLen); p++ {
-			write(promptStart + p)
-		}
-		// Decode: re-read the recent context window each step; the full
-		// prefix and older context only on full-attention steps.
-		for k := 0; k < int(r.DecodeSteps); k++ {
-			filled := k / stepsPerPage
-			ctx := promptLen + filled
-			full := k%prefixStride == 0
-			if full {
-				readPrefix()
-			} else {
-				read(prefixStart)
-			}
-			lo := 0
-			if !full && ctx > recentWindow {
-				lo = ctx - recentWindow
-			}
-			for j := lo; j < ctx; j++ {
-				read(ctxPage(j))
-			}
-			if (k+1)%stepsPerPage == 0 && filled < genLen {
-				write(genStart + int64(filled))
-			}
-		}
-		segs[i] = len(trace)
+// nodeFootprint is the number of distinct pages a node's requests
+// touch, computed without emitting them: the shared prefix pool
+// (replicated on every node) occupies the low pages, and each request
+// carves its prompt and generated KV pages off a private cursor above
+// it — the final value of nodeLayout's cursor.
+func nodeFootprint(tpl Template, stream StreamConfig, reqs []Request) int64 {
+	n := int64(stream.Prefixes * tpl.prefixPages())
+	for _, r := range reqs {
+		n += int64(r.PromptPages) + int64(r.DecodeSteps/stepsPerPage)
 	}
-	return trace, segs, cursor
+	return n
+}
+
+// nodeLayout emits a node's requests as page accesses, one request at a
+// time. The accesses are a pure function of (template, stream shape,
+// routed sub-stream and the order requests are emitted in) — no
+// randomness.
+type nodeLayout struct {
+	prefixPages int
+	cursor      int64 // next free KV page above the prefix pool
+}
+
+// emit appends request r's accesses to buf and returns the extended
+// slice, advancing the cursor past r's prompt and generated pages.
+// Prefill attends over the shared prefix and writes the prompt KV;
+// each decode step re-reads the recent context window, the full prefix
+// and older context only on full-attention steps, and writes a new KV
+// page every stepsPerPage steps. Generated pages follow the prompt's,
+// so context page j is promptStart+j.
+func (l *nodeLayout) emit(buf []gpu.Access, r Request) []gpu.Access {
+	pp := int64(l.prefixPages)
+	prefixStart := int64(r.Prefix) * pp
+	promptLen := int(r.PromptPages)
+	promptStart := l.cursor
+	genLen := int(r.DecodeSteps) / stepsPerPage
+	genStart := promptStart + int64(promptLen)
+	l.cursor = genStart + int64(genLen)
+
+	for p := int64(0); p < pp; p++ {
+		buf = append(buf, gpu.Access{Page: tier.PageID(prefixStart + p)})
+	}
+	for p := int64(0); p < int64(promptLen); p++ {
+		buf = append(buf, gpu.Access{Page: tier.PageID(promptStart + p), Write: true})
+	}
+	for k := 0; k < int(r.DecodeSteps); k++ {
+		filled := k / stepsPerPage
+		ctx := promptLen + filled
+		full := k%prefixStride == 0
+		if full {
+			for p := int64(0); p < pp; p++ {
+				buf = append(buf, gpu.Access{Page: tier.PageID(prefixStart + p)})
+			}
+		} else {
+			buf = append(buf, gpu.Access{Page: tier.PageID(prefixStart)})
+		}
+		lo := 0
+		if !full && ctx > recentWindow {
+			lo = ctx - recentWindow
+		}
+		for j := lo; j < ctx; j++ {
+			buf = append(buf, gpu.Access{Page: tier.PageID(promptStart + int64(j))})
+		}
+		if (k+1)%stepsPerPage == 0 {
+			buf = append(buf, gpu.Access{Page: tier.PageID(genStart + int64(filled)), Write: true})
+		}
+	}
+	return buf
 }
 
 // simulateNode services the node's routed sub-stream on one recycled
-// {engine, runtime} pair: each request's kernel runs to completion on
-// the node's single deterministic engine (its service time is the
-// kernel's simulated span) and a FIFO queue converts open-loop arrival
-// instants plus service times into per-request latencies. Everything
-// here is simulated time — the determinism root the fleet's
-// byte-identical contract hangs off, so detflow verifies no wall
-// clock, global randomness, or cross-goroutine communication is
-// reachable from it.
+// unit: each request's accesses are emitted into the unit's buffer and
+// run as one kernel on the unit's GPU, to completion on the node's
+// single deterministic engine (its service time is the kernel's
+// simulated span), and a FIFO queue converts open-loop arrival instants
+// plus service times into per-request latencies. Everything here is
+// simulated time — the determinism root the fleet's byte-identical
+// contract hangs off, so detflow verifies no wall clock, global
+// randomness, or cross-goroutine communication is reachable from it.
 //
 //gmt:detroot
-func simulateNode(eng *sim.Engine, rt *core.Runtime, gcfg gpu.Config, trace []gpu.Access, segs []int, reqs []Request) nodeOutcome {
+func simulateNode(u *unit, tpl Template, stream StreamConfig, reqs []Request) nodeOutcome {
 	var (
-		latencies []sim.Time
+		latencies = make([]sim.Time, 0, len(reqs))
 		lastDone  sim.Time
 		compute   sim.Time
 		stall     sim.Time
 	)
-	start := 0
-	for i, r := range reqs {
-		seg := trace[start:segs[i]]
-		start = segs[i]
-		t0 := eng.Now()
-		g := gpu.New(eng, gcfg, &gpu.SliceStream{Trace: seg}, rt)
-		g.Launch()
-		eng.Run()
-		if !g.Done() {
+	gcfg := tpl.gpuConfig()
+	pp := tpl.prefixPages()
+	layout := nodeLayout{prefixPages: pp, cursor: int64(stream.Prefixes * pp)}
+	for _, r := range reqs {
+		u.buf = layout.emit(u.buf[:0], r)
+		u.stream = gpu.SliceStream{Trace: u.buf}
+		u.gpu.Reset(gcfg, &u.stream)
+		t0 := u.eng.Now()
+		u.gpu.Launch()
+		u.eng.Run()
+		if !u.gpu.Done() {
 			panic(fmt.Sprintf("fleet: request %d did not finish", r.ID))
 		}
-		service := eng.Now() - t0
-		compute += g.ComputeTime()
-		stall += g.StallTime()
+		service := u.eng.Now() - t0
+		compute += u.gpu.ComputeTime()
+		stall += u.gpu.StallTime()
 
 		begin := r.Arrive
 		if lastDone > begin {
@@ -148,7 +152,7 @@ func simulateNode(eng *sim.Engine, rt *core.Runtime, gcfg gpu.Config, trace []gp
 		lastDone = done
 		latencies = append(latencies, done-r.Arrive)
 	}
-	m := rt.Snapshot()
+	m := u.rt.Snapshot()
 	m.App = "fleet-node"
 	m.WallTime = lastDone
 	m.WarpComputeNS = int64(compute)

@@ -1,8 +1,9 @@
 // Package fleet simulates a fleet of GPU tiering nodes: N instances of
 // the single-node GMT engine (internal/core), instantiated from
 // weighted hardware templates, serving one shared open-loop request
-// stream that a deterministic router partitions into per-node traces.
-// Per-node runs execute on the internal/exp worker pool and a fleet
+// stream that a deterministic router partitions into per-node
+// sub-streams; a node runs each request as its own kernel. Per-node
+// runs execute on the internal/exp worker pool and a fleet
 // aggregator folds their stats into fleet-wide hit rates, throughput,
 // and exact latency percentiles — byte-identical at any worker count.
 package fleet

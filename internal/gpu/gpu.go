@@ -174,9 +174,10 @@ type GPU struct {
 	active   int
 	finished bool
 
-	// warps is allocated once at Launch; warp pointers are stable and
-	// ride the engine's typed event path, so the issue/complete cycle
-	// of a resident access allocates nothing.
+	// warps is allocated at the first Launch and reused by every later
+	// kernel that fits its capacity; warp pointers are stable and ride
+	// the engine's typed event path, so the issue/complete cycle of a
+	// resident access allocates nothing.
 	warps []warp
 
 	// Barrier state: once one warp consumes the barrier token from the
@@ -236,6 +237,27 @@ func New(eng *sim.Engine, cfg Config, stream Stream, mm MemoryManager) *GPU {
 	return &GPU{eng: eng, cfg: cfg, stream: stream, mm: mm}
 }
 
+// Reset readies the GPU for another kernel on the same engine and
+// manager: cfg and stream replace the launch parameters, and every
+// counter, flag and barrier record returns to what New builds. Only
+// buffer capacity survives — the warp array and the barrier buffers of
+// earlier kernels are reused by the next Launch when they are large
+// enough — so a recycled GPU runs any kernel exactly like a fresh one
+// (HACKING.md, "Reset-at-quiescence"). It panics while a kernel is
+// still running.
+func (g *GPU) Reset(cfg Config, stream Stream) {
+	if g.active != 0 {
+		panic("gpu: Reset while a kernel is running")
+	}
+	if cfg.Warps < 1 {
+		panic("gpu: need at least one warp")
+	}
+	*g = GPU{
+		eng: g.eng, cfg: cfg, stream: stream, mm: g.mm,
+		warps: g.warps[:0], parked: g.parked[:0], releasing: g.releasing[:0],
+	}
+}
+
 // Launch schedules all warps at the current virtual time. Run the engine
 // to completion afterwards; Done reports kernel completion.
 func (g *GPU) Launch() {
@@ -245,12 +267,18 @@ func (g *GPU) Launch() {
 		g.bstream, _ = g.stream.(BatchStream)
 		g.syncCall, _ = g.mm.(CallSyncMemoryManager)
 	}
-	g.warps = make([]warp, g.cfg.Warps)
-	g.parked = make([]*warp, 0, g.cfg.Warps)
-	g.releasing = make([]*warp, 0, g.cfg.Warps)
+	n := g.cfg.Warps
+	if cap(g.warps) < n {
+		g.warps = make([]warp, n)
+	}
+	if cap(g.parked) < n {
+		g.parked = make([]*warp, 0, n)
+		g.releasing = make([]*warp, 0, n)
+	}
+	g.warps = g.warps[:n]
 	for i := range g.warps {
 		w := &g.warps[i]
-		w.g = g
+		*w = warp{g: g}
 		if g.syncCall == nil {
 			// Typed managers never touch done; skip the per-warp
 			// method-value allocation entirely.

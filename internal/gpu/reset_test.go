@@ -1,0 +1,150 @@
+package gpu
+
+import (
+	"testing"
+
+	"github.com/gmtsim/gmt/internal/sim"
+	"github.com/gmtsim/gmt/internal/tier"
+)
+
+// kernelManager misses every fifth page after a page-dependent latency
+// and hits the rest inline, through every face the GPU detects at
+// Launch: typed completions and batched hit replay, as core.Runtime
+// offers them.
+type kernelManager struct{ eng *sim.Engine }
+
+func missLatency(a Access) (sim.Time, bool) {
+	return sim.Time(100 + a.Page%7*300), a.Page%5 == 0
+}
+
+func (m kernelManager) Access(a Access, done func()) {
+	if !m.AccessSync(a, done) {
+		return
+	}
+	done()
+}
+
+func (m kernelManager) AccessSync(a Access, done func()) bool {
+	if d, miss := missLatency(a); miss {
+		m.eng.After(d, done)
+		return false
+	}
+	return true
+}
+
+func (m kernelManager) AccessSyncCall(a Access, call sim.EventFunc, ctx any, arg int64) bool {
+	if d, miss := missLatency(a); miss {
+		m.eng.AfterCall(d, call, ctx, arg)
+		return false
+	}
+	return true
+}
+
+func (m kernelManager) AccessSyncBatch(accs []Access, max int) int {
+	n := 0
+	for n < max && n < len(accs) && !accs[n].IsBarrier() {
+		if _, miss := missLatency(accs[n]); miss {
+			break
+		}
+		n++
+	}
+	return n
+}
+
+var _ BatchSyncMemoryManager = kernelManager{}
+var _ CallSyncMemoryManager = kernelManager{}
+
+// syncOnly exposes only the inline-hit face of a manager, so warps
+// complete misses through their done closures.
+type syncOnly struct{ m kernelManager }
+
+func (s syncOnly) Access(a Access, done func())          { s.m.Access(a, done) }
+func (s syncOnly) AccessSync(a Access, done func()) bool { return s.m.AccessSync(a, done) }
+
+// kernelTrace is phases of 3×warps accesses over fresh pages, each
+// phase closed by a barrier.
+func kernelTrace(warps, phases int) []Access {
+	var tr []Access
+	p := tier.PageID(0)
+	for k := 0; k < phases; k++ {
+		for i := 0; i < 3*warps; i++ {
+			tr = append(tr, Access{Page: p, Write: i%4 == 0})
+			p++
+		}
+		tr = append(tr, Barrier)
+	}
+	return tr
+}
+
+// TestResetMatchesFresh pins GPU reuse to fresh construction: one GPU,
+// Reset across kernels of 64, 128 and 64 warps — its warp array
+// outgrown once and then reused at a smaller size — must run every
+// kernel exactly like a fresh New on an engine in the same state, on
+// each manager path (typed and batched, inline hits with done
+// closures, callbacks only).
+func TestResetMatchesFresh(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		mm   func(*sim.Engine) MemoryManager
+	}{
+		{"typed", func(e *sim.Engine) MemoryManager { return kernelManager{e} }},
+		{"sync", func(e *sim.Engine) MemoryManager { return syncOnly{kernelManager{e}} }},
+		{"async", func(e *sim.Engine) MemoryManager { return asyncOnly{kernelManager{e}} }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			reusedEng, freshEng := sim.NewEngine(), sim.NewEngine()
+			var stream SliceStream
+			g := New(reusedEng, Config{Warps: 1}, &stream, c.mm(reusedEng))
+			for k, warps := range []int{64, 128, 64} {
+				cfg := Config{Warps: warps, ComputePerAccess: sim.Time(20 + 30*k)}
+				tr := kernelTrace(warps, 3+k)
+				stream = SliceStream{Trace: tr}
+				g.Reset(cfg, &stream)
+				g.Launch()
+				if g.Done() {
+					t.Fatalf("kernel %d reports done before it ran", k)
+				}
+				reusedEng.Run()
+
+				f := New(freshEng, cfg, &SliceStream{Trace: tr}, c.mm(freshEng))
+				f.Launch()
+				freshEng.Run()
+
+				if !g.Done() || !f.Done() {
+					t.Fatalf("kernel %d: done reused=%v fresh=%v", k, g.Done(), f.Done())
+				}
+				if f.Barriers() == 0 || f.StallTime() == 0 {
+					t.Fatalf("kernel %d exercised no barrier or miss", k)
+				}
+				type state struct {
+					now                    sim.Time
+					steps, accesses, barrs int64
+					compute, stall         sim.Time
+				}
+				got := state{reusedEng.Now(), reusedEng.Steps(), g.Accesses(), g.Barriers(), g.ComputeTime(), g.StallTime()}
+				want := state{freshEng.Now(), freshEng.Steps(), f.Accesses(), f.Barriers(), f.ComputeTime(), f.StallTime()}
+				if got != want {
+					t.Errorf("kernel %d (%d warps): reused %+v, fresh %+v", k, warps, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestResetWhileRunningPanics: a kernel with warps still active must
+// not be reset out from under its scheduled events.
+func TestResetWhileRunningPanics(t *testing.T) {
+	eng := sim.NewEngine()
+	g := New(eng, Config{Warps: 4, ComputePerAccess: 10}, &SliceStream{Trace: trace(100)}, ResidentManager{})
+	g.Launch()
+	eng.RunUntil(100)
+	if g.Done() {
+		t.Fatal("kernel finished before the mid-run Reset")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Reset of a running kernel did not panic")
+		}
+	}()
+	g.Reset(Config{Warps: 4}, &SliceStream{})
+}

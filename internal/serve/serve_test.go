@@ -367,8 +367,14 @@ func TestSimPartialConfigRunsWithDefaults(t *testing.T) {
 	}
 }
 
+// TestSubmitValidation: every malformed or out-of-range submission is
+// a 400 that admits no job. Fleet sizes come from client JSON, so specs
+// beyond the fleet size limits are refused at submit, before the stream
+// they would materialize is generated; the stubbed executor keeps a
+// wrongly admitted job from running.
 func TestSubmitValidation(t *testing.T) {
 	s := New(Options{Workers: 1, QueueDepth: 1})
+	s.exec = func(j *job) ([]byte, error) { return nil, fmt.Errorf("job %s admitted", j.id) }
 	defer s.Drain()
 	for _, body := range []string{
 		`{`,
@@ -385,10 +391,19 @@ func TestSubmitValidation(t *testing.T) {
 		`{"kind":"fleet","fleet":{"nodes":4,"templates":"v100"}}`,
 		`{"kind":"fleet","fleet":{"nodes":4,"router":"random"}}`,
 		`{"kind":"fleet","fleet":{"nodes":4,"t2policy":"mru"}}`,
+		`{"kind":"fleet","fleet":{"nodes":10000000}}`,
+		`{"kind":"fleet","fleet":{"nodes":5000,"requests":100}}`,
+		`{"kind":"fleet","fleet":{"nodes":4,"requests":2000000}}`,
 	} {
 		if rec := post(t, s, body); rec.Code != http.StatusBadRequest {
 			t.Errorf("submit %s: want 400, got %d %s", body, rec.Code, rec.Body.String())
 		}
+	}
+	s.mu.Lock()
+	jobs, submitted := len(s.jobs), s.met.submitted
+	s.mu.Unlock()
+	if jobs != 0 || submitted != 0 {
+		t.Errorf("invalid submissions admitted work: %d jobs, %d counted submissions", jobs, submitted)
 	}
 	if rec := get(t, s, "/v1/jobs/jdeadbeef"); rec.Code != http.StatusNotFound {
 		t.Errorf("unknown job: want 404, got %d", rec.Code)
