@@ -16,11 +16,13 @@ var update = flag.Bool("update", false, "rewrite the committed golden outputs un
 // TestQuickGoldens pins absolute output, not just agreement between
 // execution paths: each file under testdata holds the bytes `gmtbench
 // -quick -json` prints for its experiments, and the same experiments
-// rendered on a fresh quarter-scale suite must equal them. Figures 8
-// and 14 and the oracle study cover every policy's simulation, the HMM
-// baseline and the oracle's victim selection; Figures 11–13 and the
-// KV-serving study cover the sensitivity sub-suites, dataset adoption,
-// cross-suite BaM dedup and runs split at the eviction-free prefix.
+// rendered on a fresh quarter-scale suite must equal them. Together the
+// files cover all 19 experiments. Figures 8 and 14 and the oracle study
+// cover every policy's simulation, the HMM baseline and the oracle's
+// victim selection; Figures 11–13 and the KV-serving study cover the
+// sensitivity sub-suites, dataset adoption, cross-suite BaM dedup and
+// runs split at the eviction-free prefix; ext is the only experiment
+// with prefetch, and ssd the only one that drives a striped nvme.Array.
 // After an intended change of output, refresh with
 //
 //	go test ./internal/exp -run TestQuickGoldens -update
@@ -31,6 +33,9 @@ func TestQuickGoldens(t *testing.T) {
 	}{
 		{"quick_fig8_fig14_oracle.json", []string{"fig8", "fig14", "oracle"}},
 		{"quick_fig11_fig12_fig13_kvserve.json", []string{"fig11", "fig12", "fig13", "kvserve"}},
+		{"quick_table1_table2_fig4_fig6_fig7.json", []string{"table1", "table2", "fig4", "fig6", "fig7"}},
+		{"quick_fig9_fig10_ext_ssd.json", []string{"fig9", "fig10", "ext", "ssd"}},
+		{"quick_predictors_warmup_util.json", []string{"predictors", "warmup", "util"}},
 	} {
 		t.Run(c.file, func(t *testing.T) {
 			s := NewSuite(workload.Scale{Tier1Pages: 256, Tier2Pages: 1024, Oversubscription: 2, DatasetSeed: 42})
