@@ -41,7 +41,7 @@ func BenchmarkEngineEventRetention(b *testing.B) {
 		eng := sim.NewEngine()
 		for j := 0; j < events; j++ {
 			buf := make([]byte, payload)
-			eng.At(sim.Time(j+1), func() { buf[0]++ })
+			eng.AtCall(sim.Time(j+1), sim.CallFunc, func() { buf[0]++ }, 0)
 		}
 		eng.Run()
 		runtime.GC()
@@ -89,6 +89,31 @@ func BenchmarkSingleRun(b *testing.B) {
 	}
 }
 
+// TestSingleRunAllocGate is the CI gate behind BenchmarkSingleRun: one
+// complete Figure 8-scale simulation allocates at most 179 objects. The
+// budget scales with the footprint (arena chunks, device buffers), not
+// with the access count, so a per-access or per-miss allocation on any
+// path breaks it by thousands. The count is averaged over 20 runs:
+// single runs differ by one object.
+func TestSingleRunAllocGate(t *testing.T) {
+	if raceflag.Enabled || invariant.Enabled {
+		t.Skip("allocation gates run on the default build only")
+	}
+	scale := benchScale()
+	trace := workload.NewMultiVectorAdd(scale).Trace()
+	cfg := core.DefaultConfig()
+	cfg.Policy = core.PolicyReuse
+	cfg.Tier1Pages = scale.Tier1Pages
+	cfg.Tier2Pages = scale.Tier2Pages
+	if n := testing.AllocsPerRun(20, func() { runCore(cfg, trace) }); n > 179 {
+		t.Errorf("one Figure 8-scale run = %.0f allocs, want <= 179", n)
+	}
+}
+
+// noopDone is the completion the manager benchmarks pass: they time the
+// manager, not a warp.
+func noopDone(any, int64) {}
+
 // warmResident builds a runtime with every footprint page resident in
 // Tier-1 and quiescent — the steady state the hit benchmarks replay
 // against — plus a reusable batch of hitting accesses over it.
@@ -98,9 +123,8 @@ func warmResident(eng *sim.Engine) (*core.Runtime, []gpu.Access) {
 	cfg.Tier1Pages = 256
 	cfg.FootprintPages = 128
 	rt := core.NewRuntime(eng, cfg)
-	done := func() {}
 	for p := 0; p < 128; p++ {
-		rt.Access(gpu.Access{Page: tier.PageID(p)}, done)
+		rt.Access(gpu.Access{Page: tier.PageID(p)}, noopDone, nil, 0)
 	}
 	eng.Run()
 	batch := make([]gpu.Access, 512)
@@ -112,17 +136,18 @@ func warmResident(eng *sim.Engine) (*core.Runtime, []gpu.Access) {
 
 // BenchmarkPerAccessHit measures the steady-state per-access cost of a
 // Tier-1 hit the way the GPU now pays it: hitting warps consume whole
-// leading hit runs through AccessSyncBatch — one bounds check and
-// residency probe per page, counters folded in once per batch — so
-// ns/op here is the amortized per-access cost on the batched path.
-// Steady state is 0 allocs/op. (BenchmarkAccessBatch measures the same
-// path per call; TestPerAccessAllocGate covers the scalar fallback.)
+// leading hit runs through AccessBatch — one bounds check and residency
+// probe per page, counters folded in once per batch — so ns/op here is
+// the amortized per-access cost on the batched path. Steady state is 0
+// allocs/op. (BenchmarkAccessBatch measures the same path per call;
+// TestAccessBatchAllocGate gates it and TestPerAccessAllocGate covers
+// the scalar fallback.)
 func BenchmarkPerAccessHit(b *testing.B) {
 	rt, batch := warmResident(sim.NewEngine())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for done := 0; done < b.N; {
-		n := rt.AccessSyncBatch(batch, len(batch))
+		n := rt.AccessBatch(batch, len(batch))
 		if n != len(batch) {
 			b.Fatalf("batch broke after %d of %d resident accesses", n, len(batch))
 		}
@@ -130,7 +155,7 @@ func BenchmarkPerAccessHit(b *testing.B) {
 	}
 }
 
-// BenchmarkAccessBatch measures one AccessSyncBatch call over a full
+// BenchmarkAccessBatch measures one AccessBatch call over a full
 // 512-access resident batch — the per-call cost a hitting warp pays for
 // a whole run, including the batch-level counter fold. 0 allocs/op.
 func BenchmarkAccessBatch(b *testing.B) {
@@ -138,11 +163,29 @@ func BenchmarkAccessBatch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if n := rt.AccessSyncBatch(batch, len(batch)); n != len(batch) {
+		if n := rt.AccessBatch(batch, len(batch)); n != len(batch) {
 			b.Fatalf("batch broke after %d of %d resident accesses", n, len(batch))
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(batch)), "ns/access")
+}
+
+// TestAccessBatchAllocGate is the CI gate behind BenchmarkPerAccessHit
+// and BenchmarkAccessBatch: one AccessBatch call over a resident
+// 512-access batch consumes the whole batch and allocates nothing.
+func TestAccessBatchAllocGate(t *testing.T) {
+	if raceflag.Enabled || invariant.Enabled {
+		t.Skip("allocation gates run on the default build only")
+	}
+	rt, batch := warmResident(sim.NewEngine())
+	n := testing.AllocsPerRun(500, func() {
+		if got := rt.AccessBatch(batch, len(batch)); got != len(batch) {
+			t.Fatalf("batch broke after %d of %d resident accesses", got, len(batch))
+		}
+	})
+	if n != 0 {
+		t.Errorf("steady-state AccessBatch = %.1f allocs/op, want 0", n)
+	}
 }
 
 // warmMissTorture builds a runtime whose footprint (512 pages) is 2.7x
@@ -151,19 +194,18 @@ func BenchmarkAccessBatch(b *testing.B) {
 // own eviction spills to the SSD. One full warm lap grows every arena —
 // page directory, fetch/placement pools, waiter nodes, NVMe requests,
 // transfer moves, event records — to steady capacity.
-func warmMissTorture(eng *sim.Engine, policy core.PolicyKind) (*core.Runtime, func()) {
+func warmMissTorture(eng *sim.Engine, policy core.PolicyKind) *core.Runtime {
 	cfg := core.DefaultConfig()
 	cfg.Policy = policy
 	cfg.Tier1Pages = 64
 	cfg.Tier2Pages = 128
 	cfg.FootprintPages = 512
 	rt := core.NewRuntime(eng, cfg)
-	done := func() {}
 	for p := 0; p < 512; p++ {
-		rt.Access(gpu.Access{Page: tier.PageID(p), Write: p%3 == 0}, done)
+		rt.Access(gpu.Access{Page: tier.PageID(p), Write: p%3 == 0}, noopDone, nil, 0)
 	}
 	eng.Run()
-	return rt, done
+	return rt
 }
 
 // BenchmarkMissPath measures the full miss pipeline in steady state —
@@ -174,11 +216,11 @@ func warmMissTorture(eng *sim.Engine, policy core.PolicyKind) (*core.Runtime, fu
 // waiter nodes, and event arena must fully absorb the per-miss churn.
 func BenchmarkMissPath(b *testing.B) {
 	eng := sim.NewEngine()
-	rt, done := warmMissTorture(eng, core.PolicyReuse)
+	rt := warmMissTorture(eng, core.PolicyReuse)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rt.Access(gpu.Access{Page: tier.PageID(i % 512)}, done)
+		rt.Access(gpu.Access{Page: tier.PageID(i % 512)}, noopDone, nil, 0)
 		eng.Run()
 	}
 }
@@ -191,13 +233,13 @@ func BenchmarkMissPath(b *testing.B) {
 // NVMe writes, completion records) runs entirely on pooled objects.
 func BenchmarkEvictStorm(b *testing.B) {
 	eng := sim.NewEngine()
-	rt, done := warmMissTorture(eng, core.PolicyTierOrder)
+	rt := warmMissTorture(eng, core.PolicyTierOrder)
 	const storm = 256
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := 0; j < storm; j++ {
-			rt.Access(gpu.Access{Page: tier.PageID((i*storm + j) % 512), Write: true}, done)
+			rt.Access(gpu.Access{Page: tier.PageID((i*storm + j) % 512), Write: true}, noopDone, nil, 0)
 		}
 		eng.Run()
 	}
@@ -214,10 +256,10 @@ func TestMissPathAllocGate(t *testing.T) {
 	}
 	for _, p := range []core.PolicyKind{core.PolicyReuse, core.PolicyTierOrder} {
 		eng := sim.NewEngine()
-		rt, done := warmMissTorture(eng, p)
+		rt := warmMissTorture(eng, p)
 		i := 0
 		n := testing.AllocsPerRun(500, func() {
-			rt.Access(gpu.Access{Page: tier.PageID(i % 512), Write: i%2 == 0}, done)
+			rt.Access(gpu.Access{Page: tier.PageID(i % 512), Write: i%2 == 0}, noopDone, nil, 0)
 			eng.Run()
 			i++
 		})
@@ -227,10 +269,9 @@ func TestMissPathAllocGate(t *testing.T) {
 	}
 }
 
-// TestPerAccessAllocGate is the CI gate for the tentpole's acceptance
-// bar: the steady-state per-access path — from Runtime.Access through
-// tier bookkeeping to the warp's completion callback — performs zero
-// allocations once all pages are resident.
+// TestPerAccessAllocGate gates the scalar hit path: once all pages are
+// resident, Runtime.Access through tier bookkeeping performs zero
+// allocations.
 func TestPerAccessAllocGate(t *testing.T) {
 	if raceflag.Enabled || invariant.Enabled {
 		t.Skip("allocation gates run on the default build only")
@@ -241,15 +282,15 @@ func TestPerAccessAllocGate(t *testing.T) {
 	cfg.Tier1Pages = 256
 	cfg.FootprintPages = 128
 	rt := core.NewRuntime(eng, cfg)
-	done := func() {}
 	for p := 0; p < 128; p++ {
-		rt.Access(gpu.Access{Page: tier.PageID(p)}, done)
+		rt.Access(gpu.Access{Page: tier.PageID(p)}, noopDone, nil, 0)
 	}
 	eng.Run()
 	i := 0
 	n := testing.AllocsPerRun(500, func() {
-		rt.Access(gpu.Access{Page: tier.PageID(i % 128), Write: i%7 == 0}, done)
-		rt.AccessSync(gpu.Access{Page: tier.PageID(i % 128)}, done)
+		if !rt.Access(gpu.Access{Page: tier.PageID(i % 128), Write: i%7 == 0}, noopDone, nil, 0) {
+			t.Fatal("resident access did not complete inline")
+		}
 		i++
 	})
 	if n != 0 {

@@ -46,24 +46,27 @@ var zeroAllocMicro = map[string]bool{
 	"EvictStorm":   true,
 }
 
+// noopDone is the completion the microbenchmarks pass: they time the
+// manager, not a warp.
+func noopDone(any, int64) {}
+
 // warmMissMicro builds the miss-path steady state: a 512-page footprint
 // over 64 Tier-1 + 128 Tier-2 pages, so a cyclic scan misses on every
 // access and each miss cascades an eviction. One warm lap grows every
 // pool to capacity; after it the whole miss pipeline must run
 // allocation-free (mirrors bench_test.go's warmMissTorture).
-func warmMissMicro(eng *sim.Engine, policy core.PolicyKind) (*core.Runtime, func()) {
+func warmMissMicro(eng *sim.Engine, policy core.PolicyKind) *core.Runtime {
 	cfg := core.DefaultConfig()
 	cfg.Policy = policy
 	cfg.Tier1Pages = 64
 	cfg.Tier2Pages = 128
 	cfg.FootprintPages = 512
 	rt := core.NewRuntime(eng, cfg)
-	done := func() {}
 	for p := 0; p < 512; p++ {
-		rt.Access(gpu.Access{Page: tier.PageID(p), Write: p%3 == 0}, done)
+		rt.Access(gpu.Access{Page: tier.PageID(p), Write: p%3 == 0}, noopDone, nil, 0)
 	}
 	eng.Run()
-	return rt, done
+	return rt
 }
 
 // warmResidentMicro builds the steady state the hit benches replay: a
@@ -75,9 +78,8 @@ func warmResidentMicro(eng *sim.Engine) (*core.Runtime, []gpu.Access) {
 	cfg.Tier1Pages = 256
 	cfg.FootprintPages = 128
 	rt := core.NewRuntime(eng, cfg)
-	done := func() {}
 	for p := 0; p < 128; p++ {
-		rt.Access(gpu.Access{Page: tier.PageID(p)}, done)
+		rt.Access(gpu.Access{Page: tier.PageID(p)}, noopDone, nil, 0)
 	}
 	eng.Run()
 	batch := make([]gpu.Access, 512)
@@ -110,13 +112,13 @@ func runMicrobench() []benchMicro {
 		}
 	})
 	// Per-access cost on the batched hit path — the way hitting warps
-	// now stream runs through AccessSyncBatch; ns/op is per access.
+	// now stream runs through AccessBatch; ns/op is per access.
 	hit := testing.Benchmark(func(b *testing.B) {
 		rt, batch := warmResidentMicro(sim.NewEngine())
 		b.ReportAllocs()
 		b.ResetTimer()
 		for done := 0; done < b.N; {
-			n := rt.AccessSyncBatch(batch, len(batch))
+			n := rt.AccessBatch(batch, len(batch))
 			if n != len(batch) {
 				b.Fatalf("batch broke after %d of %d resident accesses", n, len(batch))
 			}
@@ -129,7 +131,7 @@ func runMicrobench() []benchMicro {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if n := rt.AccessSyncBatch(batch, len(batch)); n != len(batch) {
+			if n := rt.AccessBatch(batch, len(batch)); n != len(batch) {
 				b.Fatalf("batch broke after %d of %d resident accesses", n, len(batch))
 			}
 		}
@@ -138,11 +140,11 @@ func runMicrobench() []benchMicro {
 	// Tier-2 or the SSD, and evicts. The gate is 0 allocs/op.
 	missPath := testing.Benchmark(func(b *testing.B) {
 		eng := sim.NewEngine()
-		rt, done := warmMissMicro(eng, core.PolicyReuse)
+		rt := warmMissMicro(eng, core.PolicyReuse)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			rt.Access(gpu.Access{Page: tier.PageID(i % 512)}, done)
+			rt.Access(gpu.Access{Page: tier.PageID(i % 512)}, noopDone, nil, 0)
 			eng.Run()
 		}
 	})
@@ -150,13 +152,13 @@ func runMicrobench() []benchMicro {
 	// per op, each miss spilling dirty victims down the tiers.
 	evictStorm := testing.Benchmark(func(b *testing.B) {
 		eng := sim.NewEngine()
-		rt, done := warmMissMicro(eng, core.PolicyTierOrder)
+		rt := warmMissMicro(eng, core.PolicyTierOrder)
 		const storm = 256
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for j := 0; j < storm; j++ {
-				rt.Access(gpu.Access{Page: tier.PageID((i*storm + j) % 512), Write: true}, done)
+				rt.Access(gpu.Access{Page: tier.PageID((i*storm + j) % 512), Write: true}, noopDone, nil, 0)
 			}
 			eng.Run()
 		}

@@ -22,9 +22,9 @@
 //	-version        print version and exit
 //
 // The analysis is two-phase: per-package analyzers (norealtime,
-// noglobalrand, maporder, nogoroutine, hotclosure) run package by
-// package, then the whole-program analyzers (detflow, ctxflow,
-// hotalloc) propagate facts over the cross-package call graph, so a
+// noglobalrand, maporder, nogoroutine) run package by package, then the
+// whole-program analyzers (detflow, ctxflow, hotalloc) propagate facts
+// over the cross-package call graph, so a
 // time.Now buried three packages away from an engine callback is still
 // caught — and reported with the full call chain.
 //

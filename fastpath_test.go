@@ -3,6 +3,7 @@ package gmt
 import (
 	"testing"
 
+	"github.com/gmtsim/gmt/internal/baseline"
 	"github.com/gmtsim/gmt/internal/core"
 	"github.com/gmtsim/gmt/internal/gpu"
 	"github.com/gmtsim/gmt/internal/sim"
@@ -10,35 +11,36 @@ import (
 	"github.com/gmtsim/gmt/internal/tier"
 )
 
-// asyncRuntime hides core.Runtime's AccessSync so the GPU falls back to
-// the classic callback path. Driving the same workload through both
-// faces of the same runtime is the full-stack form of the fast-path
-// equivalence argument (HACKING.md, "Scheduler determinism contract"):
-// the inline hit streak must be observationally identical to the queued
-// continuation events it replaces.
-type asyncRuntime struct{ rt *core.Runtime }
+// queued is the reference path of the scheduler determinism contract
+// (HACKING.md): a hit runs the completion synchronously and reports
+// false, so the warp resumes through a queued continuation event
+// instead of streaming inline. Driving the same workload inline and
+// through queued is the full-stack form of the fast-path equivalence
+// argument.
+type queued struct{ mm gpu.MemoryManager }
 
-func (a asyncRuntime) Access(ac gpu.Access, done func()) { a.rt.Access(ac, done) }
-
-// scalarRuntime hides AccessSyncBatch but keeps AccessSync, so the GPU
-// uses the per-access fast path without batched hit replay. Batch replay
-// must be observationally identical to the scalar fast path it batches.
-type scalarRuntime struct{ rt *core.Runtime }
-
-func (s scalarRuntime) Access(ac gpu.Access, done func()) { s.rt.Access(ac, done) }
-func (s scalarRuntime) AccessSync(ac gpu.Access, done func()) bool {
-	return s.rt.AccessSync(ac, done)
+func (q queued) Access(a gpu.Access, call sim.EventFunc, ctx any, arg int64) bool {
+	if q.mm.Access(a, call, ctx, arg) {
+		call(ctx, arg)
+	}
+	return false
 }
 
-// fastPathTrace mixes Tier-1 hits, capacity misses, writes, and
-// kernel-wide barriers over a footprint twice the Tier-1 size.
+// scalar hides a manager's AccessBatch, so hits stream inline one access
+// at a time. Batch replay must be observationally identical to it.
+type scalar struct{ gpu.MemoryManager }
+
+// fastPathTrace mixes Tier-1 hits on a hot set, capacity misses from a
+// scan over a footprint twice the Tier-1 size, writes, and kernel-wide
+// barriers.
 func fastPathTrace(n int) []gpu.Access {
 	tr := make([]gpu.Access, 0, n+n/200)
 	for i := 0; i < n; i++ {
-		tr = append(tr, gpu.Access{
-			Page:  tier.PageID(i * 7919 % 512),
-			Write: i%13 == 0,
-		})
+		p := tier.PageID(i * 7919 % 512)
+		if i%3 != 0 {
+			p = tier.PageID(i % 64)
+		}
+		tr = append(tr, gpu.Access{Page: p, Write: i%13 == 0})
 		if (i+1)%200 == 0 {
 			tr = append(tr, gpu.Barrier)
 		}
@@ -46,25 +48,54 @@ func fastPathTrace(n int) []gpu.Access {
 	return tr
 }
 
-// TestFastPathMatchesQueuedPath runs every policy's full runtime stack
-// three ways — batched hit replay, scalar fast path, and the classic
-// queued callback path; wall time and the entire metrics snapshot must
-// be identical across all three.
+// TestFastPathMatchesQueuedPath runs every policy's full runtime stack,
+// and HMM with and without its block prefetcher and forced hit rate,
+// three ways — as launched (batched hit replay where the manager offers
+// it), scalar inline hits, and queued; wall time and the entire metrics
+// snapshot must be identical across all three.
 func TestFastPathMatchesQueuedPath(t *testing.T) {
-	for _, pol := range []core.PolicyKind{core.PolicyBaM, core.PolicyTierOrder, core.PolicyReuse} {
-		run := func(mode string) (sim.Time, stats.Run) {
-			eng := sim.NewEngine()
+	type manager interface {
+		gpu.MemoryManager
+		Snapshot() stats.Run
+	}
+	gmt := func(pol core.PolicyKind) func(*sim.Engine) manager {
+		return func(eng *sim.Engine) manager {
 			cfg := core.DefaultConfig()
 			cfg.Policy = pol
 			cfg.Tier1Pages = 256
 			cfg.FootprintPages = 512
-			rt := core.NewRuntime(eng, cfg)
-			var mm gpu.MemoryManager = rt
+			return core.NewRuntime(eng, cfg)
+		}
+	}
+	hmm := func(block int, rate float64) func(*sim.Engine) manager {
+		return func(eng *sim.Engine) manager {
+			cfg := baseline.DefaultHMMConfig()
+			cfg.Tier1Pages = 256
+			cfg.FootprintPages = 512
+			cfg.PrefetchBlock, cfg.ForcedHitRate = block, rate
+			return baseline.NewHMM(eng, cfg)
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		build func(*sim.Engine) manager
+	}{
+		{"BaM", gmt(core.PolicyBaM)},
+		{"TierOrder", gmt(core.PolicyTierOrder)},
+		{"Reuse", gmt(core.PolicyReuse)},
+		{"HMM", hmm(0, -1)},
+		{"HMM/prefetch8", hmm(8, -1)},
+		{"HMM/forced0.5", hmm(0, 0.5)},
+	} {
+		run := func(mode string) (sim.Time, stats.Run) {
+			eng := sim.NewEngine()
+			m := c.build(eng)
+			var mm gpu.MemoryManager = m
 			switch mode {
 			case "queued":
-				mm = asyncRuntime{rt}
+				mm = queued{m}
 			case "scalar":
-				mm = scalarRuntime{rt}
+				mm = scalar{m}
 			}
 			gcfg := gpu.DefaultConfig()
 			gcfg.Warps = 32
@@ -72,18 +103,21 @@ func TestFastPathMatchesQueuedPath(t *testing.T) {
 			g.Launch()
 			eng.Run()
 			if !g.Done() {
-				t.Fatalf("%v/%s: kernel did not finish", pol, mode)
+				t.Fatalf("%s/%s: kernel did not finish", c.name, mode)
 			}
-			return eng.Now(), rt.Snapshot()
+			return eng.Now(), m.Snapshot()
 		}
-		bnow, bm := run("batch")
+		lnow, lm := run("launched")
+		if lm.Tier1Hits == 0 || lm.Tier1Hits == lm.Accesses {
+			t.Fatalf("%s: trace lacks hits or misses: %+v", c.name, lm)
+		}
 		for _, mode := range []string{"scalar", "queued"} {
 			mnow, mm := run(mode)
-			if bnow != mnow {
-				t.Errorf("%v: wall time: batch %d, %s %d", pol, bnow, mode, mnow)
+			if lnow != mnow {
+				t.Errorf("%s: wall time: launched %d, %s %d", c.name, lnow, mode, mnow)
 			}
-			if bm != mm {
-				t.Errorf("%v: metrics diverged:\nbatch: %+v\n%s: %+v", pol, bm, mode, mm)
+			if lm != mm {
+				t.Errorf("%s: metrics diverged:\nlaunched: %+v\n%s: %+v", c.name, lm, mode, mm)
 			}
 		}
 	}

@@ -43,7 +43,7 @@ func fuzzTrace(rng *rand.Rand, n, footprint int) []gpu.Access {
 
 // diffBatchScalar runs one randomly-derived configuration through the
 // full runtime twice — once with batched hit replay, once with the
-// batch interface hidden so the GPU falls back to scalar AccessSync —
+// batch interface hidden so the GPU falls back to scalar Access calls —
 // and requires identical final clocks, identical dispatched-event
 // counts (the batch path must preserve the event schedule exactly, per
 // the determinism contract), and an identical metrics snapshot.
@@ -56,7 +56,7 @@ func diffBatchScalar(t *testing.T, seed int64) {
 	warps := 1 << rng.Intn(6)
 	trace := fuzzTrace(rng, 2000+rng.Intn(2000), foot)
 
-	run := func(scalar bool) (sim.Time, int64, stats.Run) {
+	run := func(noBatch bool) (sim.Time, int64, stats.Run) {
 		eng := sim.NewEngine()
 		cfg := core.DefaultConfig()
 		cfg.Policy = pol
@@ -64,8 +64,8 @@ func diffBatchScalar(t *testing.T, seed int64) {
 		cfg.FootprintPages = foot
 		rt := core.NewRuntime(eng, cfg)
 		var mm gpu.MemoryManager = rt
-		if scalar {
-			mm = scalarRuntime{rt}
+		if noBatch {
+			mm = scalar{rt}
 		}
 		gcfg := gpu.DefaultConfig()
 		gcfg.Warps = warps

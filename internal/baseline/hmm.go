@@ -92,10 +92,17 @@ type hmmPage struct {
 	cached       bool // resident in the host page cache (inclusive)
 	cacheDirty   bool
 	// waiters are the warp completions parked on an in-flight fill. The
-	// callbacks themselves are the GPU's per-warp done values (allocated
-	// once at Launch); the backing arrays cycle through waiterPool so a
-	// fault-heavy run stops allocating them once the peak is reached.
-	waiters []func()
+	// backing arrays cycle through waiterPool so a fault-heavy run stops
+	// allocating them once the peak is reached.
+	waiters []hmmWaiter
+}
+
+// hmmWaiter is one access completion parked on an in-flight fill:
+// call(ctx, arg) runs when the page installs.
+type hmmWaiter struct {
+	call sim.EventFunc
+	ctx  any
+	arg  int64
 }
 
 // hmmPageDir is the dense page-metadata table: a PageID-indexed slice of
@@ -185,7 +192,7 @@ type HMM struct {
 	// per-fault heap objects once the in-flight peak is reached.
 	faultPool  []*hmmFault
 	servePool  []*hmmServe
-	waiterPool [][]func()
+	waiterPool [][]hmmWaiter
 
 	m stats.Run
 }
@@ -298,10 +305,12 @@ func (h *HMM) newServeChunk() *hmmServe {
 	return &chunk[0]
 }
 
-// Access implements gpu.MemoryManager.
+// Access implements gpu.MemoryManager. A Tier-1 hit completes inline
+// and returns true, exactly like GMT's; anything else parks call(ctx,
+// arg) on the page until its fill lands.
 //
 //gmt:hotpath
-func (h *HMM) Access(a gpu.Access, done func()) {
+func (h *HMM) Access(a gpu.Access, call sim.EventFunc, ctx any, arg int64) bool {
 	h.m.Accesses++
 	ps := h.page(a.Page)
 	switch ps.loc {
@@ -311,35 +320,36 @@ func (h *HMM) Access(a gpu.Access, done func()) {
 		if a.Write {
 			ps.dirty = true
 		}
-		done()
+		return true
 	case hmmInFlight:
 		h.m.InFlightJoins++
 		if a.Write {
 			ps.pendingDirty = true
 		}
-		h.queueWaiter(ps, done)
+		h.queueWaiter(ps, call, ctx, arg)
 	case hmmSSD:
 		ps.loc = hmmInFlight
 		if a.Write {
 			ps.pendingDirty = true
 		}
-		h.queueWaiter(ps, done)
+		h.queueWaiter(ps, call, ctx, arg)
 		h.fault(a.Page)
 	}
+	return false
 }
 
-// queueWaiter parks done on ps, reusing a pooled backing array for the
-// first waiter of a fill cycle.
+// queueWaiter parks a completion on ps, reusing a pooled backing array
+// for the first waiter of a fill cycle.
 //
 //gmt:hotpath
-func (h *HMM) queueWaiter(ps *hmmPage, done func()) {
+func (h *HMM) queueWaiter(ps *hmmPage, call sim.EventFunc, ctx any, arg int64) {
 	if ps.waiters == nil {
 		if n := len(h.waiterPool); n > 0 {
 			ps.waiters = h.waiterPool[n-1]
 			h.waiterPool = h.waiterPool[:n-1]
 		}
 	}
-	ps.waiters = append(ps.waiters, done)
+	ps.waiters = append(ps.waiters, hmmWaiter{call, ctx, arg})
 }
 
 // fault is the host-side service path. The handler is held from fault
@@ -464,7 +474,7 @@ func (h *HMM) insertCache(p tier.PageID, ps *hmmPage) {
 		h.m.Tier2Evictions++
 		if vps.cacheDirty {
 			vps.cacheDirty = false
-			h.ssd.Write(int64(v), h.cfg.PageSize, nil)
+			h.ssd.WriteCall(int64(v), h.cfg.PageSize, sim.CallFunc, nil, 0)
 		}
 	}
 	h.cache.Insert(p)
@@ -530,8 +540,8 @@ func (h *HMM) install(p tier.PageID, ps *hmmPage) {
 	waiters := ps.waiters
 	ps.waiters = nil
 	for i, w := range waiters {
-		waiters[i] = nil
-		w()
+		waiters[i] = hmmWaiter{}
+		w.call(w.ctx, w.arg)
 	}
 	if waiters != nil {
 		h.waiterPool = append(h.waiterPool, waiters[:0])
@@ -558,7 +568,7 @@ func (h *HMM) makeRoom() {
 		vps.dirty = false
 		h.m.EvictionsToTier2++
 		h.m.PagesToHost++
-		h.link.Up.Transfer(h.cfg.PageSize, nil)
+		h.link.Up.TransferCall(h.cfg.PageSize, sim.CallFunc, nil, 0)
 		if !vps.cached {
 			h.insertCache(v, vps)
 		}

@@ -311,9 +311,7 @@ type pageState struct {
 }
 
 // waiterNode is one queued access completion on an in-flight page:
-// call(ctx, arg) runs when the page installs. The miss pipeline used to
-// retain `done func()` closures here; the typed triple carries the same
-// callback without a per-access closure allocation.
+// call(ctx, arg) runs when the page installs.
 type waiterNode struct {
 	call sim.EventFunc
 	ctx  any
@@ -332,11 +330,10 @@ type slotWait struct {
 // Storage is the drive-side interface the runtime issues I/O against:
 // a single *nvme.Disk or a striped *nvme.Array.
 type Storage interface {
-	Read(lba, n int64, done func(nvme.Completion))
-	// ReadCall is the typed-callback form of Read: call(ctx, arg) runs at
-	// completion with no per-command closure (see nvme.Disk.ReadCall).
+	// ReadCall and WriteCall issue one command; call(ctx, arg) runs at
+	// completion with no per-command closure (see nvme.Disk.SubmitCall).
 	ReadCall(lba, n int64, call sim.EventFunc, ctx any, arg int64)
-	Write(lba, n int64, done func(nvme.Completion))
+	WriteCall(lba, n int64, call sim.EventFunc, ctx any, arg int64)
 	Stats() nvme.Stats
 }
 
@@ -360,7 +357,7 @@ type Runtime struct {
 	// batch hit needs one bounds check and one int32 load per page,
 	// never a *pageState dereference.
 	t1page []int32
-	// batchOK gates AccessSyncBatch: false when any per-access side
+	// batchOK gates AccessBatch: false when any per-access side
 	// effect the batch cannot replicate is configured (history
 	// snapshots, prefetch, oracle future tracking).
 	batchOK bool
@@ -414,9 +411,7 @@ type Runtime struct {
 	reuseNS []int64
 }
 
-var _ gpu.SyncMemoryManager = (*Runtime)(nil)
-var _ gpu.BatchSyncMemoryManager = (*Runtime)(nil)
-var _ gpu.CallSyncMemoryManager = (*Runtime)(nil)
+var _ gpu.BatchMemoryManager = (*Runtime)(nil)
 
 // NewRuntime builds a runtime (and its devices) on eng.
 func NewRuntime(eng *sim.Engine, cfg Config) *Runtime {
@@ -702,47 +697,19 @@ func (rt *Runtime) Engine() *sim.Engine { return rt.eng }
 // SSD exposes the simulated drive (for experiment-level stats).
 func (rt *Runtime) SSD() Storage { return rt.ssd }
 
-// HostLink exposes the GPU<->host PCIe link.
-func (rt *Runtime) HostLink() *pcie.Link { return rt.hostLink }
-
-// Mover exposes the Tier-1<->Tier-2 transfer engine.
-func (rt *Runtime) Mover() *xfer.Engine { return rt.mover }
-
 func (rt *Runtime) page(p tier.PageID) *pageState {
 	return rt.dir.lookup(p)
 }
 
-// Access implements gpu.MemoryManager: one coalesced page reference.
+// Access implements gpu.MemoryManager: one coalesced page reference. On
+// a Tier-1 hit it returns true and the callback is neither retained nor
+// invoked; otherwise call(ctx, arg) runs exactly once when the page
+// lands. Passing a top-level function with a pointer context keeps the
+// whole miss pipeline — waiter queue, slot reservation, eviction
+// placement, device completion — free of per-access allocations.
 //
 //gmt:hotpath
-func (rt *Runtime) Access(a gpu.Access, done func()) {
-	if rt.AccessSyncCall(a, sim.CallFunc, done, 0) {
-		done()
-	}
-}
-
-// AccessSync implements gpu.SyncMemoryManager. A Tier-1 hit completes
-// inline — the return value true stands in for the done() call the
-// classic path would make synchronously, and done is neither retained
-// nor invoked. Every other location takes the asynchronous machinery
-// and will call done exactly once when the page lands. (Compat wrapper:
-// the GPU rides AccessSyncCall, the typed form.)
-//
-//gmt:hotpath
-func (rt *Runtime) AccessSync(a gpu.Access, done func()) bool {
-	return rt.AccessSyncCall(a, sim.CallFunc, done, 0)
-}
-
-// AccessSyncCall implements gpu.CallSyncMemoryManager: the typed form of
-// AccessSync. On a Tier-1 hit it returns true and the callback is
-// neither retained nor invoked; otherwise call(ctx, arg) runs exactly
-// once when the page lands. Passing a top-level function with a pointer
-// context keeps the whole miss pipeline — waiter queue, slot
-// reservation, eviction placement, device completion — free of
-// per-access allocations.
-//
-//gmt:hotpath
-func (rt *Runtime) AccessSyncCall(a gpu.Access, call sim.EventFunc, ctx any, arg int64) bool {
+func (rt *Runtime) Access(a gpu.Access, call sim.EventFunc, ctx any, arg int64) bool {
 	if invariant.Enabled {
 		invariant.Assert(rt.t1.Len()+rt.reserved <= rt.t1.Capacity(),
 			"core: tier-1 oversubscribed: %d resident + %d reserved > %d slots",
@@ -804,19 +771,19 @@ func (rt *Runtime) AccessSyncCall(a gpu.Access, call sim.EventFunc, ctx any, arg
 	return false
 }
 
-// AccessSyncBatch implements gpu.BatchSyncMemoryManager: it consumes
-// the leading run of accs (at most max) that are Tier-1 hits, applying
-// exactly the per-access state a run of hitting AccessSync calls would
-// — slot touch, dirty bit on writes, reuse-sampler observation — with
-// the counters (vtd, accesses, hits) applied once per batch. The run
-// stops at the first non-hit: a barrier sentinel, a page outside the
-// Tier-1 probe array, or a miss. Whole
-// configurations whose per-access side effects cannot be replayed in
-// bulk (history snapshots, prefetch, the oracle's future cursor) refuse
-// batching outright via batchOK and fall back to AccessSync.
+// AccessBatch implements gpu.BatchMemoryManager: it consumes the
+// leading run of accs (at most max) that are Tier-1 hits, applying
+// exactly the per-access state a run of hitting Access calls would —
+// slot touch, dirty bit on writes, reuse-sampler observation — with the
+// counters (vtd, accesses, hits) applied once per batch. The run stops
+// at the first non-hit: a barrier sentinel, a page outside the Tier-1
+// probe array, or a miss. Whole configurations whose per-access side
+// effects cannot be replayed in bulk (history snapshots, prefetch, the
+// oracle's future cursor) refuse batching outright via batchOK and fall
+// back to Access.
 //
 //gmt:hotpath
-func (rt *Runtime) AccessSyncBatch(accs []gpu.Access, max int) int {
+func (rt *Runtime) AccessBatch(accs []gpu.Access, max int) int {
 	if !rt.batchOK {
 		return 0
 	}
@@ -1068,18 +1035,30 @@ func (rt *Runtime) landFill(p tier.PageID) {
 
 // landFillStaged is the UpPathThroughTier2 ablation: the page lands in
 // a host staging buffer first, then is moved up by the warp, paying the
-// host software path and an extra PCIe hop on every fill. Config-gated
-// and closure-based, so it sits behind a coldpath barrier.
+// host software path and an extra PCIe hop on every fill. Both stages
+// are typed events with the runtime as ctx and the page as arg, so the
+// ablation needs no record.
 //
-//gmt:coldpath
+//gmt:hotpath
 func (rt *Runtime) landFillStaged(p tier.PageID) {
-	//lint:ignore hotclosure UpPathThroughTier2 ablation only; never on the default hot path
-	rt.eng.After(rt.cfg.HostSWOverhead, func() {
-		rt.mover.MovePage(false, gpu.WarpThreads, func() {
-			rt.m.PagesToGPU++
-			rt.install(p)
-		})
-	})
+	rt.eng.AfterCall(rt.cfg.HostSWOverhead, stagedFillHosted, rt, int64(p))
+}
+
+// stagedFillHosted runs once the staged page is in host memory: the warp
+// moves it down to the GPU.
+//
+//gmt:hotpath
+func stagedFillHosted(ctx any, p int64) {
+	ctx.(*Runtime).mover.MovePageCall(false, gpu.WarpThreads, stagedFillMoved, ctx, p)
+}
+
+// stagedFillMoved installs a staged page once it reaches the GPU.
+//
+//gmt:hotpath
+func stagedFillMoved(ctx any, p int64) {
+	rt := ctx.(*Runtime)
+	rt.m.PagesToGPU++
+	rt.install(tier.PageID(p))
 }
 
 // prefetchAfter speculatively fetches sequential successors of a
@@ -1573,7 +1552,7 @@ func (rt *Runtime) discard(p tier.PageID, ps *pageState) {
 	if ps.dirty {
 		ps.dirty = false
 		rt.m.EvictionsToSSD++
-		rt.ssd.Write(int64(p), rt.cfg.PageSize, nil)
+		rt.ssd.WriteCall(int64(p), rt.cfg.PageSize, sim.CallFunc, nil, 0)
 	} else {
 		rt.m.EvictionsDropped++
 	}
@@ -1618,9 +1597,6 @@ func (rt *Runtime) Coeffs() reuse.Coeffs {
 	}
 	return rt.sampler.Coeffs()
 }
-
-// MarkovWeights reports the predictor's transition matrix.
-func (rt *Runtime) MarkovWeights() [3][3]int64 { return rt.markov.Weights() }
 
 // Tier1Resident reports current Tier-1 occupancy.
 func (rt *Runtime) Tier1Resident() int { return rt.t1.Len() }

@@ -340,7 +340,7 @@ func TestTier2HitLatencyCalibration(t *testing.T) {
 	// Page 0 now lives in Tier-2. Time an isolated demand hit.
 	start := eng.Now()
 	done := sim.Time(0)
-	rt.Access(gpu.Access{Page: 0}, func() { done = eng.Now() })
+	rt.Access(gpu.Access{Page: 0}, sim.CallFunc, func() { done = eng.Now() }, 0)
 	eng.Run()
 	lat := done - start
 	// The raw retrieval is ≈50µs (paper §3.4); the end-to-end miss also
@@ -410,7 +410,7 @@ func TestConservationLawsProperty(t *testing.T) {
 		eng.Run()
 		rt.CheckInvariants()
 		m := rt.Snapshot()
-		moverStats := rt.Mover().Stats()
+		moverStats := rt.mover.Stats()
 		return m.SSDReads == m.SSDFills+m.Prefetches &&
 			m.PagesToHost == m.EvictionsToTier2 &&
 			m.PagesToGPU == m.Tier2Hits &&

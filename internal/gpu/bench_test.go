@@ -33,7 +33,7 @@ const stormWindow = 10_000 * sim.Nanosecond
 func newStorm(warps int) (*sim.Engine, *GPU) {
 	eng := sim.NewEngine()
 	g := New(eng, Config{Warps: warps, ComputePerAccess: 100 * sim.Nanosecond},
-		&stormStream{warps: warps}, ResidentManager{})
+		&stormStream{warps: warps}, residentManager{})
 	g.Launch()
 	eng.RunUntil(stormWindow) // reach steady state before measuring
 	return eng, g
@@ -75,84 +75,6 @@ func TestBarrierStormAllocGate(t *testing.T) {
 	}
 	if g.Barriers() == before {
 		t.Fatal("storm completed no barriers while gating")
-	}
-}
-
-// asyncOnly hides a manager's AccessSync so the GPU takes the classic
-// callback path. Running the same workload through both faces of the
-// same manager is the executable form of the fast-path equivalence
-// argument (HACKING.md, "Scheduler determinism contract").
-type asyncOnly struct{ mm MemoryManager }
-
-func (a asyncOnly) Access(ac Access, done func()) { a.mm.Access(ac, done) }
-
-// mixedManager resolves even pages synchronously and odd pages after a
-// page-dependent latency, so hit streaks, misses, and barrier arrivals
-// interleave in a nontrivial order.
-type mixedManager struct{ eng *sim.Engine }
-
-func (m mixedManager) Access(a Access, done func()) {
-	if !m.AccessSync(a, done) {
-		return
-	}
-	done()
-}
-
-func (m mixedManager) AccessSync(a Access, done func()) bool {
-	if a.Page%2 == 0 {
-		return true
-	}
-	m.eng.After(sim.Time(100+a.Page%7*300), done)
-	return false
-}
-
-// barrierMixTrace interleaves accesses and grid syncs: phases of 2×warps
-// accesses separated by barriers.
-func barrierMixTrace(warps, phases int) []Access {
-	var tr []Access
-	p := tier.PageID(0)
-	for k := 0; k < phases; k++ {
-		for i := 0; i < 2*warps; i++ {
-			tr = append(tr, Access{Page: p})
-			p++
-		}
-		tr = append(tr, Barrier)
-	}
-	return tr
-}
-
-// TestFastPathMatchesQueuedPath runs a barrier-heavy mixed-latency
-// workload once with the synchronous fast path and once with it hidden;
-// wall time and every GPU-side metric must agree. This exercises the
-// streak-breaking rule (a tied event must win the FIFO tie-break over an
-// inline advance) and the batching flag that pins the fast path off
-// while a barrier release batch is mid-flight.
-func TestFastPathMatchesQueuedPath(t *testing.T) {
-	run := func(hide bool) (sim.Time, int64, int64, sim.Time, sim.Time) {
-		eng := sim.NewEngine()
-		var mm MemoryManager = mixedManager{eng}
-		if hide {
-			mm = asyncOnly{mm}
-		}
-		g := New(eng, Config{Warps: 8, ComputePerAccess: 50 * sim.Nanosecond},
-			&SliceStream{Trace: barrierMixTrace(8, 5)}, mm)
-		g.Launch()
-		eng.Run()
-		if !g.Done() {
-			t.Fatal("kernel did not finish")
-		}
-		return eng.Now(), g.Accesses(), g.Barriers(), g.StallTime(), g.ComputeTime()
-	}
-	fnow, facc, fbar, fstall, fcomp := run(false)
-	qnow, qacc, qbar, qstall, qcomp := run(true)
-	if fnow != qnow {
-		t.Errorf("wall time: fast path %d, queued path %d", fnow, qnow)
-	}
-	if facc != qacc || fbar != qbar {
-		t.Errorf("accesses/barriers: fast %d/%d, queued %d/%d", facc, fbar, qacc, qbar)
-	}
-	if fstall != qstall || fcomp != qcomp {
-		t.Errorf("stall/compute: fast %d/%d, queued %d/%d", fstall, fcomp, qstall, qcomp)
 	}
 }
 

@@ -68,8 +68,8 @@ func (s *SliceStream) Advance(n int) { s.pos += n }
 
 // BatchStream is the optional batch extension of Stream: a stream that
 // can expose its unconsumed tail as a slice lets a hitting warp replay
-// whole runs of accesses through AccessSyncBatch without a Next call
-// (and an interface dispatch) per access.
+// whole runs of accesses through AccessBatch without a Next call (and an
+// interface dispatch) per access.
 type BatchStream interface {
 	Stream
 	// Pending reports the not-yet-consumed accesses. The slice is only
@@ -81,55 +81,34 @@ type BatchStream interface {
 	Advance(n int)
 }
 
-// MemoryManager resolves coalesced accesses. done must be invoked exactly
-// once, at the virtual time the data is available to the warp; it may be
-// invoked synchronously for resident pages.
+// MemoryManager resolves coalesced accesses (BaM, GMT and HMM all
+// implement it). Access returns true when a completed inline at the
+// current virtual time (a Tier-1 hit): the completion is then neither
+// retained nor invoked, and a hitting warp keeps streaming without
+// touching the event queue (see HACKING.md, "Scheduler determinism
+// contract"). Otherwise it returns false and invokes call(ctx, arg)
+// exactly once, at the virtual time the data is available to the warp.
+// The completion is a preallocated (sim.EventFunc, ctx) pair — the GPU
+// passes a package-level event function with the *warp as ctx — so a
+// miss allocates no closure anywhere on its path.
 type MemoryManager interface {
-	Access(a Access, done func())
+	Access(a Access, call sim.EventFunc, ctx any, arg int64) bool
 }
 
-// SyncMemoryManager is the optional fast-path extension of
-// MemoryManager. AccessSync resolves a like Access, but reports inline
-// completion instead of trampolining through done: a true return means
-// the access completed synchronously at the current virtual time and
-// done was neither retained nor called; false means the manager took
-// the asynchronous path and will invoke done exactly once, later (or
-// already has, synchronously — the classic contract). The GPU detects
-// the interface at Launch and lets hitting warps consume consecutive
-// accesses without touching the event queue (see HACKING.md,
-// "Scheduler determinism contract").
-type SyncMemoryManager interface {
+// BatchMemoryManager is the optional batched extension of
+// MemoryManager. AccessBatch consumes a leading run of accs that all
+// complete inline at the current virtual time (Tier-1 hits), returning
+// how many were consumed — at most max. It must stop at the first access
+// it cannot complete inline (a miss, a barrier token, anything needing a
+// completion), consume nothing it cannot account exactly as a sequence
+// of inline Access calls would, and must not schedule events, advance
+// the clock, or otherwise touch the engine: the caller replays the
+// consumed run's timing. A manager may return 0 at any time (the caller
+// falls back to per-access Access), so implementations are free to
+// refuse configurations whose per-access side effects cannot be batched.
+type BatchMemoryManager interface {
 	MemoryManager
-	AccessSync(a Access, done func()) bool
-}
-
-// CallSyncMemoryManager is the typed-callback extension of
-// SyncMemoryManager. AccessSyncCall resolves a like AccessSync, but the
-// asynchronous completion is delivered by invoking call(ctx, arg) — a
-// preallocated (sim.EventFunc, ctx) pair — instead of a func() closure.
-// The GPU detects the interface at Launch and wakes stalled warps
-// through a package-level event function with the *warp as ctx, so a
-// miss allocates no completion closure anywhere on its path.
-type CallSyncMemoryManager interface {
-	SyncMemoryManager
-	AccessSyncCall(a Access, call sim.EventFunc, ctx any, arg int64) bool
-}
-
-// BatchSyncMemoryManager is the batched extension of SyncMemoryManager.
-// AccessSyncBatch consumes a leading run of accs that all complete
-// synchronously at the current virtual time (Tier-1 hits), returning how
-// many were consumed — at most max. It must stop at the first access it
-// cannot complete inline (a miss, a barrier token, anything needing the
-// asynchronous path), consume nothing it cannot account exactly as a
-// sequence of AccessSync calls would, and must not schedule events,
-// advance the clock, or otherwise touch the engine: the caller replays
-// the consumed run's timing. A manager may return 0 at any time (the
-// caller falls back to per-access AccessSync), so implementations are
-// free to refuse configurations whose per-access side effects cannot be
-// batched.
-type BatchSyncMemoryManager interface {
-	SyncMemoryManager
-	AccessSyncBatch(accs []Access, max int) int
+	AccessBatch(accs []Access, max int) int
 }
 
 // Config sizes the execution model.
@@ -152,21 +131,13 @@ type GPU struct {
 	cfg    Config
 	stream Stream
 	mm     MemoryManager
-	// sync is non-nil when mm implements SyncMemoryManager; hitting
-	// accesses then complete inline and warps stream through hit chains
-	// without scheduling (the streak breaks whenever Peek shows another
-	// event due in the compute window).
-	sync SyncMemoryManager
-	// batch/bstream are non-nil when the manager and stream additionally
-	// support batched hit replay: a hitting warp then consumes whole
-	// leading hit runs with one AccessSyncBatch call, bounded by the same
-	// Peek window the scalar streak obeys one access at a time.
-	batch   BatchSyncMemoryManager
+	// batch/bstream are non-nil when the manager and stream support
+	// batched hit replay and the compute quantum leaves a window to
+	// batch into: a hitting warp then consumes whole leading hit runs
+	// with one AccessBatch call, bounded by the same Peek window the
+	// scalar streak obeys one access at a time.
+	batch   BatchMemoryManager
 	bstream BatchStream
-	// syncCall is non-nil when mm additionally supports typed
-	// completions; misses then wake warps through warpAccessDoneEvent and
-	// no per-warp done closure is ever allocated.
-	syncCall CallSyncMemoryManager
 
 	accesses int64
 	stall    sim.Time
@@ -201,13 +172,10 @@ type GPU struct {
 }
 
 // warp is one resident warp's execution state. A warp has at most one
-// access in flight, so a single issue timestamp suffices; done is the
-// access-completion callback, allocated once at Launch rather than per
-// access.
+// access in flight, so a single issue timestamp suffices.
 type warp struct {
 	g      *GPU
 	issued sim.Time
-	done   func()
 }
 
 // warpStepEvent is the typed event dispatched for every warp step; ctx
@@ -222,9 +190,9 @@ func warpStepEvent(ctx any, _ int64) { ctx.(*warp).step() }
 //gmt:hotpath
 func barrierReleaseEvent(ctx any, _ int64) { ctx.(*GPU).releaseParked() }
 
-// warpAccessDoneEvent is the typed completion delivered by a
-// CallSyncMemoryManager when an asynchronous access lands; ctx is the
-// stalled *warp.
+// warpAccessDoneEvent is the completion a MemoryManager delivers when
+// an access that did not complete inline lands; ctx is the stalled
+// *warp.
 //
 //gmt:hotpath
 func warpAccessDoneEvent(ctx any, _ int64) { ctx.(*warp).accessDone() }
@@ -261,11 +229,11 @@ func (g *GPU) Reset(cfg Config, stream Stream) {
 // Launch schedules all warps at the current virtual time. Run the engine
 // to completion afterwards; Done reports kernel completion.
 func (g *GPU) Launch() {
-	g.sync, _ = g.mm.(SyncMemoryManager)
-	if g.sync != nil {
-		g.batch, _ = g.mm.(BatchSyncMemoryManager)
-		g.bstream, _ = g.stream.(BatchStream)
-		g.syncCall, _ = g.mm.(CallSyncMemoryManager)
+	// A zero compute quantum has no window to batch into.
+	if bm, ok := g.mm.(BatchMemoryManager); ok && g.cfg.ComputePerAccess > 0 {
+		if bs, ok := g.stream.(BatchStream); ok {
+			g.batch, g.bstream = bm, bs
+		}
 	}
 	n := g.cfg.Warps
 	if cap(g.warps) < n {
@@ -279,11 +247,6 @@ func (g *GPU) Launch() {
 	for i := range g.warps {
 		w := &g.warps[i]
 		*w = warp{g: g}
-		if g.syncCall == nil {
-			// Typed managers never touch done; skip the per-warp
-			// method-value allocation entirely.
-			w.done = w.accessDone
-		}
 		g.active++
 		g.eng.AfterCall(0, warpStepEvent, w, 0)
 	}
@@ -300,10 +263,8 @@ func (w *warp) step() {
 		}
 		// Batched hit replay: consume a whole leading hit run in one
 		// manager call. batching pins this off like the scalar streak (a
-		// barrier batch-mate's continuation would be pending); a zero
-		// compute quantum has no window to batch into.
-		if g.batch != nil && g.bstream != nil && !g.batching &&
-			g.cfg.ComputePerAccess > 0 && w.stepBatch() {
+		// barrier batch-mate's continuation would be pending).
+		if g.batch != nil && !g.batching && w.stepBatch() {
 			return
 		}
 		a, ok := g.stream.Next()
@@ -323,18 +284,9 @@ func (w *warp) step() {
 		}
 		g.accesses++
 		w.issued = g.eng.Now()
-		if g.sync == nil {
-			g.mm.Access(a, w.done)
-			return
-		}
-		if g.syncCall != nil {
-			if !g.syncCall.AccessSyncCall(a, warpAccessDoneEvent, w, 0) {
-				// Asynchronous path taken; warpAccessDoneEvent resumes
-				// the warp with no closure in flight.
-				return
-			}
-		} else if !g.sync.AccessSync(a, w.done) {
-			// Asynchronous path taken; accessDone resumes the warp.
+		if !g.mm.Access(a, warpAccessDoneEvent, w, 0) {
+			// Not inline; warpAccessDoneEvent resumes the warp with no
+			// closure in flight.
 			return
 		}
 		// Inline completion: account the access exactly as accessDone
@@ -395,7 +347,7 @@ func (w *warp) stepBatch() bool {
 			budget, capped = int(b), true
 		}
 	}
-	j := g.batch.AccessSyncBatch(pend, budget)
+	j := g.batch.AccessBatch(pend, budget)
 	if j == 0 {
 		return false
 	}
@@ -480,15 +432,3 @@ func (g *GPU) Done() bool { return g.finished }
 
 // Barriers reports how many kernel-wide barriers completed.
 func (g *GPU) Barriers() int64 { return g.barriers }
-
-// ResidentManager is a trivial MemoryManager where every page is already
-// resident: useful for tests and for measuring pure compute time.
-type ResidentManager struct{}
-
-// Access implements MemoryManager with zero latency.
-func (ResidentManager) Access(_ Access, done func()) { done() }
-
-// AccessSync implements SyncMemoryManager: every access completes inline.
-func (ResidentManager) AccessSync(_ Access, _ func()) bool { return true }
-
-var _ SyncMemoryManager = ResidentManager{}

@@ -7,6 +7,12 @@ import (
 	"github.com/gmtsim/gmt/internal/tier"
 )
 
+// residentManager is a trivial MemoryManager where every page is
+// already resident: every access completes inline.
+type residentManager struct{}
+
+func (residentManager) Access(Access, sim.EventFunc, any, int64) bool { return true }
+
 func trace(n int) []Access {
 	t := make([]Access, n)
 	for i := range t {
@@ -17,7 +23,7 @@ func trace(n int) []Access {
 
 func TestAllAccessesProcessed(t *testing.T) {
 	eng := sim.NewEngine()
-	g := New(eng, Config{Warps: 4, ComputePerAccess: 10}, &SliceStream{Trace: trace(100)}, ResidentManager{})
+	g := New(eng, Config{Warps: 4, ComputePerAccess: 10}, &SliceStream{Trace: trace(100)}, residentManager{})
 	g.Launch()
 	eng.Run()
 	if !g.Done() {
@@ -31,7 +37,7 @@ func TestAllAccessesProcessed(t *testing.T) {
 func TestComputeBoundTime(t *testing.T) {
 	eng := sim.NewEngine()
 	const n, warps, c = 100, 4, sim.Time(10)
-	g := New(eng, Config{Warps: warps, ComputePerAccess: c}, &SliceStream{Trace: trace(n)}, ResidentManager{})
+	g := New(eng, Config{Warps: warps, ComputePerAccess: c}, &SliceStream{Trace: trace(n)}, residentManager{})
 	g.Launch()
 	eng.Run()
 	// All hits: wall time = (n/warps) * compute.
@@ -54,7 +60,10 @@ type delayManager struct {
 	d   sim.Time
 }
 
-func (m delayManager) Access(_ Access, done func()) { m.eng.After(m.d, done) }
+func (m delayManager) Access(_ Access, call sim.EventFunc, ctx any, arg int64) bool {
+	m.eng.AfterCall(m.d, call, ctx, arg)
+	return false
+}
 
 func TestMissOverlapAcrossWarps(t *testing.T) {
 	// 8 warps, 8 accesses, each costing 1000ns of memory latency:
@@ -82,13 +91,13 @@ func TestSingleWarpSerializes(t *testing.T) {
 }
 
 func TestStreamOrderPreserved(t *testing.T) {
-	// Warps pull from a shared stream: with a synchronous manager the
+	// Warps pull from a shared stream: with an all-hit manager the
 	// issue order must equal the trace order regardless of warp count.
 	eng := sim.NewEngine()
 	var issued []tier.PageID
-	mm := managerFunc(func(a Access, done func()) {
+	mm := managerFunc(func(a Access, _ sim.EventFunc, _ any, _ int64) bool {
 		issued = append(issued, a.Page)
-		done()
+		return true
 	})
 	g := New(eng, Config{Warps: 7, ComputePerAccess: 3}, &SliceStream{Trace: trace(50)}, mm)
 	g.Launch()
@@ -100,9 +109,11 @@ func TestStreamOrderPreserved(t *testing.T) {
 	}
 }
 
-type managerFunc func(Access, func())
+type managerFunc func(a Access, call sim.EventFunc, ctx any, arg int64) bool
 
-func (f managerFunc) Access(a Access, done func()) { f(a, done) }
+func (f managerFunc) Access(a Access, call sim.EventFunc, ctx any, arg int64) bool {
+	return f(a, call, ctx, arg)
+}
 
 func TestDeterminism(t *testing.T) {
 	run := func() sim.Time {
@@ -142,20 +153,20 @@ func TestBarrierSynchronizesWarps(t *testing.T) {
 	}
 	eng := sim.NewEngine()
 	var phase1Done, phase2First sim.Time
-	mm := managerFunc(func(a Access, done func()) {
+	mm := managerFunc(func(a Access, call sim.EventFunc, ctx any, arg int64) bool {
 		if a.Page < 8 {
-			eng.After(1000, func() {
+			eng.AfterCall(1000, sim.CallFunc, func() {
 				if eng.Now() > phase1Done {
 					phase1Done = eng.Now()
 				}
-				done()
-			})
-			return
+				call(ctx, arg)
+			}, 0)
+			return false
 		}
 		if phase2First == 0 {
 			phase2First = eng.Now()
 		}
-		done()
+		return true
 	})
 	g := New(eng, Config{Warps: 4, ComputePerAccess: 1}, &SliceStream{Trace: tr}, mm)
 	g.Launch()
@@ -177,7 +188,7 @@ func TestBarrierSynchronizesWarps(t *testing.T) {
 func TestConsecutiveBarriers(t *testing.T) {
 	tr := []Access{{Page: 1}, Barrier, Barrier, {Page: 2}}
 	eng := sim.NewEngine()
-	g := New(eng, Config{Warps: 3, ComputePerAccess: 1}, &SliceStream{Trace: tr}, ResidentManager{})
+	g := New(eng, Config{Warps: 3, ComputePerAccess: 1}, &SliceStream{Trace: tr}, residentManager{})
 	g.Launch()
 	eng.Run()
 	if !g.Done() || g.Barriers() != 2 || g.Accesses() != 2 {
@@ -204,7 +215,7 @@ func TestBarrierWithDrainingWarps(t *testing.T) {
 func TestTrailingBarrierTerminates(t *testing.T) {
 	tr := []Access{{Page: 1}, Barrier}
 	eng := sim.NewEngine()
-	g := New(eng, Config{Warps: 2, ComputePerAccess: 1}, &SliceStream{Trace: tr}, ResidentManager{})
+	g := New(eng, Config{Warps: 2, ComputePerAccess: 1}, &SliceStream{Trace: tr}, residentManager{})
 	g.Launch()
 	eng.Run()
 	if !g.Done() {
@@ -218,5 +229,5 @@ func TestZeroWarpsPanics(t *testing.T) {
 			t.Error("Warps=0 did not panic")
 		}
 	}()
-	New(sim.NewEngine(), Config{}, &SliceStream{}, ResidentManager{})
+	New(sim.NewEngine(), Config{}, &SliceStream{}, residentManager{})
 }

@@ -8,31 +8,16 @@ import (
 )
 
 // kernelManager misses every fifth page after a page-dependent latency
-// and hits the rest inline, through every face the GPU detects at
-// Launch: typed completions and batched hit replay, as core.Runtime
-// offers them.
+// and hits the rest inline, on both paths the GPU detects at Launch:
+// per-access completions and batched hit replay, as core.Runtime offers
+// them.
 type kernelManager struct{ eng *sim.Engine }
 
 func missLatency(a Access) (sim.Time, bool) {
 	return sim.Time(100 + a.Page%7*300), a.Page%5 == 0
 }
 
-func (m kernelManager) Access(a Access, done func()) {
-	if !m.AccessSync(a, done) {
-		return
-	}
-	done()
-}
-
-func (m kernelManager) AccessSync(a Access, done func()) bool {
-	if d, miss := missLatency(a); miss {
-		m.eng.After(d, done)
-		return false
-	}
-	return true
-}
-
-func (m kernelManager) AccessSyncCall(a Access, call sim.EventFunc, ctx any, arg int64) bool {
+func (m kernelManager) Access(a Access, call sim.EventFunc, ctx any, arg int64) bool {
 	if d, miss := missLatency(a); miss {
 		m.eng.AfterCall(d, call, ctx, arg)
 		return false
@@ -40,7 +25,7 @@ func (m kernelManager) AccessSyncCall(a Access, call sim.EventFunc, ctx any, arg
 	return true
 }
 
-func (m kernelManager) AccessSyncBatch(accs []Access, max int) int {
+func (m kernelManager) AccessBatch(accs []Access, max int) int {
 	n := 0
 	for n < max && n < len(accs) && !accs[n].IsBarrier() {
 		if _, miss := missLatency(accs[n]); miss {
@@ -51,15 +36,7 @@ func (m kernelManager) AccessSyncBatch(accs []Access, max int) int {
 	return n
 }
 
-var _ BatchSyncMemoryManager = kernelManager{}
-var _ CallSyncMemoryManager = kernelManager{}
-
-// syncOnly exposes only the inline-hit face of a manager, so warps
-// complete misses through their done closures.
-type syncOnly struct{ m kernelManager }
-
-func (s syncOnly) Access(a Access, done func())          { s.m.Access(a, done) }
-func (s syncOnly) AccessSync(a Access, done func()) bool { return s.m.AccessSync(a, done) }
+var _ BatchMemoryManager = kernelManager{}
 
 // kernelTrace is phases of 3×warps accesses over fresh pages, each
 // phase closed by a barrier.
@@ -80,16 +57,16 @@ func kernelTrace(warps, phases int) []Access {
 // Reset across kernels of 64, 128 and 64 warps — its warp array
 // outgrown once and then reused at a smaller size — must run every
 // kernel exactly like a fresh New on an engine in the same state, on
-// each manager path (typed and batched, inline hits with done
-// closures, callbacks only).
+// each hit path (batched replay, scalar inline hits, queued
+// continuations).
 func TestResetMatchesFresh(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		mm   func(*sim.Engine) MemoryManager
 	}{
-		{"typed", func(e *sim.Engine) MemoryManager { return kernelManager{e} }},
-		{"sync", func(e *sim.Engine) MemoryManager { return syncOnly{kernelManager{e}} }},
-		{"async", func(e *sim.Engine) MemoryManager { return asyncOnly{kernelManager{e}} }},
+		{"batch", func(e *sim.Engine) MemoryManager { return kernelManager{e} }},
+		{"scalar", func(e *sim.Engine) MemoryManager { return scalar{kernelManager{e}} }},
+		{"queued", func(e *sim.Engine) MemoryManager { return queued{kernelManager{e}} }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			reusedEng, freshEng := sim.NewEngine(), sim.NewEngine()
@@ -135,7 +112,7 @@ func TestResetMatchesFresh(t *testing.T) {
 // not be reset out from under its scheduled events.
 func TestResetWhileRunningPanics(t *testing.T) {
 	eng := sim.NewEngine()
-	g := New(eng, Config{Warps: 4, ComputePerAccess: 10}, &SliceStream{Trace: trace(100)}, ResidentManager{})
+	g := New(eng, Config{Warps: 4, ComputePerAccess: 10}, &SliceStream{Trace: trace(100)}, residentManager{})
 	g.Launch()
 	eng.RunUntil(100)
 	if g.Done() {

@@ -15,20 +15,6 @@ var SimPackages = map[string]bool{
 	"internal/xfer": true,
 }
 
-// HotPackages are the per-access simulator packages where hotclosure
-// applies: event scheduling there sits on the hot path, so the typed
-// AtCall/AfterCall variants are mandatory (cold exceptions carry a
-// //lint:ignore hotclosure reason). internal/sim itself is exempt — it
-// defines the closure API and its tests exercise it.
-var HotPackages = map[string]bool{
-	"internal/core": true,
-	"internal/gpu":  true,
-	"internal/tier": true,
-	"internal/nvme": true,
-	"internal/pcie": true,
-	"internal/xfer": true,
-}
-
 // ServePackages hold the concurrent request-serving layer whose
 // HTTP-handler-shaped functions are ctxflow roots.
 var ServePackages = map[string]bool{
@@ -50,8 +36,6 @@ func DefaultScope(module string) func(analyzer, pkgPath string) bool {
 		switch analyzer {
 		case "nogoroutine":
 			return SimPackages[rel]
-		case "hotclosure":
-			return HotPackages[rel]
 		case "norealtime", "detflow", "ctxflow":
 			return !strings.HasPrefix(rel, "cmd/")
 		default:

@@ -143,7 +143,7 @@ type Edge struct {
 type FuncFacts struct {
 	ID   FuncID `json:"id"`
 	Pkg  string `json:"pkg"`  // import path
-	Name string `json:"name"` // display name, e.g. (*Runtime).AccessSync
+	Name string `json:"name"` // display name, e.g. (*Runtime).Access
 
 	File     string `json:"file"`
 	Line     int    `json:"line"`

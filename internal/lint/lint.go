@@ -14,14 +14,12 @@
 // sets — the deterministic simulator packages, and the serving layer's
 // HTTP handlers.
 //
-// Five per-package analyzers ship with the package:
+// Four per-package analyzers ship with the package:
 //
 //   - norealtime:   no wall-clock time in simulation code
 //   - noglobalrand: no math/rand global-stream functions outside tests
 //   - maporder:     no order-sensitive work inside map iteration
 //   - nogoroutine:  no goroutines or channels in simulator packages
-//   - hotclosure:   no closure-based Engine.At/After in hot simulator
-//     packages; use the typed AtCall/AfterCall variants
 //
 // plus three whole-program analyzers:
 //
@@ -30,7 +28,8 @@
 //   - ctxflow:  context.Background()/TODO() minted on serve request
 //     paths, and blocking sim entry points called under a held mutex
 //   - hotalloc: allocation sites statically reachable from
-//     //gmt:hotpath functions gated at 0 allocs/op
+//     //gmt:hotpath functions gated at 0 allocs/op, capturing closures
+//     included
 //
 // The driver (cmd/gmtlint) loads packages with Loader, runs everything
 // through RunAll, and honors //lint:ignore suppression comments (which
@@ -83,7 +82,7 @@ func (p *Pass) Reportf(pos token.Pos, msg string) {
 // All returns every per-package analyzer the suite ships, in stable
 // order.
 func All() []*Analyzer {
-	return []*Analyzer{NoRealTime, NoGlobalRand, MapOrder, NoGoroutine, HotClosure}
+	return []*Analyzer{NoRealTime, NoGlobalRand, MapOrder, NoGoroutine}
 }
 
 // ProgramAnalyzer is a whole-program check: it runs once over the

@@ -25,16 +25,12 @@ func TestNoGoroutine(t *testing.T) {
 	linttest.Run(t, "testdata", lint.NoGoroutine, "nogoroutine")
 }
 
-func TestHotClosure(t *testing.T) {
-	linttest.Run(t, "testdata", lint.HotClosure, "hotclosure")
-}
-
 // TestSuppression checks //lint:ignore semantics through the driver: a
 // reasoned directive suppresses on its own line and the line below; a
 // reasonless directive is inert.
 func TestSuppression(t *testing.T) {
 	fset, pkg := linttest.Load(t, "testdata", "suppressed")
-	findings, err := lint.Run(fset, []*lint.Package{pkg}, []*lint.Analyzer{lint.NoGlobalRand}, nil)
+	findings, err := lint.RunAll(fset, []*lint.Package{pkg}, lint.RunConfig{Analyzers: []*lint.Analyzer{lint.NoGlobalRand}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,12 +45,12 @@ func TestSuppression(t *testing.T) {
 	}
 }
 
-// TestScope checks that Run's scope callback gates analyzers per
+// TestScope checks that RunAll's scope callback gates analyzers per
 // package.
 func TestScope(t *testing.T) {
 	fset, pkg := linttest.Load(t, "testdata", "noglobalrand")
-	none := func(a *lint.Analyzer, path string) bool { return false }
-	findings, err := lint.Run(fset, []*lint.Package{pkg}, lint.All(), none)
+	none := func(analyzer, path string) bool { return false }
+	findings, err := lint.RunAll(fset, []*lint.Package{pkg}, lint.RunConfig{Analyzers: lint.All(), Scope: none})
 	if err != nil {
 		t.Fatal(err)
 	}

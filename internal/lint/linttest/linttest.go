@@ -174,7 +174,7 @@ func Facts(fset *token.FileSet, pkgs []*lint.Package) *lint.Program {
 func Run(t *testing.T, testdata string, a *lint.Analyzer, pkg string) {
 	t.Helper()
 	fset, lpkg := Load(t, testdata, pkg)
-	findings, err := lint.Run(fset, []*lint.Package{lpkg}, []*lint.Analyzer{a}, nil)
+	findings, err := lint.RunAll(fset, []*lint.Package{lpkg}, lint.RunConfig{Analyzers: []*lint.Analyzer{a}})
 	if err != nil {
 		t.Fatalf("running %s: %v", a.Name, err)
 	}

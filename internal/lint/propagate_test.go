@@ -40,7 +40,7 @@ func TestDetFlowCatchesWhatPerPackageMisses(t *testing.T) {
 			root = p
 		}
 	}
-	perPkg, err := lint.Run(fset, []*lint.Package{root}, lint.All(), nil)
+	perPkg, err := lint.RunAll(fset, []*lint.Package{root}, lint.RunConfig{Analyzers: lint.All()})
 	if err != nil {
 		t.Fatal(err)
 	}

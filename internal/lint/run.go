@@ -177,23 +177,6 @@ func RunAll(fset *token.FileSet, pkgs []*Package, cfg RunConfig) ([]Finding, err
 	return dedupe(findings), nil
 }
 
-// Run is the legacy per-package entry point, kept for callers that only
-// need the five syntactic analyzers.
-func Run(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer, scope func(a *Analyzer, pkgPath string) bool) ([]Finding, error) {
-	byName := make(map[string]*Analyzer, len(analyzers))
-	for _, a := range analyzers {
-		byName[a.Name] = a
-	}
-	var cfgScope func(string, string) bool
-	if scope != nil {
-		cfgScope = func(name, pkgPath string) bool {
-			a, ok := byName[name]
-			return !ok || scope(a, pkgPath)
-		}
-	}
-	return RunAll(fset, pkgs, RunConfig{Analyzers: analyzers, Scope: cfgScope})
-}
-
 func anyInScope(names []string, pkgPath string, inScope func(string, string) bool) bool {
 	for _, n := range names {
 		if inScope(n, pkgPath) {

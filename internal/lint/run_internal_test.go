@@ -39,7 +39,7 @@ func TestSortAndDedupe(t *testing.T) {
 func TestKnownAnalyzerNames(t *testing.T) {
 	names := KnownAnalyzerNames()
 	for _, n := range []string{"norealtime", "noglobalrand", "maporder", "nogoroutine",
-		"hotclosure", "detflow", "ctxflow", "hotalloc", BadIgnoreName, UnusedIgnoreName} {
+		"detflow", "ctxflow", "hotalloc", BadIgnoreName, UnusedIgnoreName} {
 		if !names[n] {
 			t.Errorf("KnownAnalyzerNames missing %q", n)
 		}

@@ -44,19 +44,14 @@ func (a *Array) pick(lba int64) *Disk {
 	return a.disks[i]
 }
 
-// Read issues a striped read for the page at lba.
-func (a *Array) Read(lba, n int64, done func(Completion)) {
-	a.pick(lba).Read(lba, n, done)
-}
-
-// ReadCall is the typed-callback form of Read.
+// ReadCall issues a striped read for the page at lba.
 func (a *Array) ReadCall(lba, n int64, call sim.EventFunc, ctx any, arg int64) {
 	a.pick(lba).ReadCall(lba, n, call, ctx, arg)
 }
 
-// Write issues a striped write for the page at lba.
-func (a *Array) Write(lba, n int64, done func(Completion)) {
-	a.pick(lba).Write(lba, n, done)
+// WriteCall issues a striped write for the page at lba.
+func (a *Array) WriteCall(lba, n int64, call sim.EventFunc, ctx any, arg int64) {
+	a.pick(lba).WriteCall(lba, n, call, ctx, arg)
 }
 
 // Stats aggregates all members.

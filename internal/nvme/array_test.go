@@ -10,7 +10,7 @@ func TestArrayStripesEvenly(t *testing.T) {
 	eng := sim.NewEngine()
 	a := NewArray(eng, DefaultConfig(), 4)
 	for i := int64(0); i < 400; i++ {
-		a.Read(i, page, nil)
+		a.ReadCall(i, page, sim.CallFunc, nil, 0)
 	}
 	eng.Run()
 	for i := 0; i < 4; i++ {
@@ -28,7 +28,7 @@ func TestArrayBandwidthScales(t *testing.T) {
 		eng := sim.NewEngine()
 		a := NewArray(eng, DefaultConfig(), drives)
 		for i := int64(0); i < 2000; i++ {
-			a.Read(i, page, nil)
+			a.ReadCall(i, page, sim.CallFunc, nil, 0)
 		}
 		eng.Run()
 		return eng.Now()
@@ -44,8 +44,8 @@ func TestArrayBandwidthScales(t *testing.T) {
 func TestArrayAggregateStats(t *testing.T) {
 	eng := sim.NewEngine()
 	a := NewArray(eng, DefaultConfig(), 2)
-	a.Read(0, page, nil)
-	a.Write(1, page, nil)
+	a.ReadCall(0, page, sim.CallFunc, nil, 0)
+	a.WriteCall(1, page, sim.CallFunc, nil, 0)
 	eng.Run()
 	s := a.Stats()
 	if s.Reads != 1 || s.Writes != 1 || s.Completions != 2 {
@@ -72,7 +72,7 @@ func TestArrayNegativeLBA(t *testing.T) {
 	eng := sim.NewEngine()
 	a := NewArray(eng, DefaultConfig(), 3)
 	done := false
-	a.Read(-7, page, func(Completion) { done = true })
+	a.ReadCall(-7, page, sim.CallFunc, func() { done = true }, 0)
 	eng.Run()
 	if !done {
 		t.Fatal("negative LBA read lost")

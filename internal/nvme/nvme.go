@@ -52,16 +52,6 @@ type Command struct {
 	Bytes int64
 }
 
-// Completion reports the outcome of a command.
-type Completion struct {
-	Command   Command
-	Submitted sim.Time
-	Done      sim.Time
-}
-
-// Latency reports the command's end-to-end service time.
-func (c Completion) Latency() sim.Time { return c.Done - c.Submitted }
-
 // Config describes the simulated drive.
 type Config struct {
 	// Queues is the number of I/O queue pairs. BaM-style systems
@@ -108,8 +98,8 @@ func DefaultConfig() Config {
 //
 // The paper's systems allocate the queue pair in GPU memory and have GPU
 // threads ring doorbells directly; the host never mediates. In the model
-// this shows up as Submit being callable from any simulated agent with no
-// extra cost beyond CommandOverhead.
+// this shows up as SubmitCall being callable from any simulated agent
+// with no extra cost beyond CommandOverhead.
 type Disk struct {
 	cfg    Config
 	eng    *sim.Engine
@@ -138,8 +128,7 @@ type request struct {
 	q         *sim.Server
 	cmd       Command
 	submitted sim.Time
-	done      func(Completion) // optional: completion entry, by value
-	call      sim.EventFunc    // optional: typed completion, no entry
+	call      sim.EventFunc // completion; nil when nobody waits
 	ctx       any
 	arg       int64
 }
@@ -239,17 +228,13 @@ func requestFinish(ctx any, _ int64) {
 	d.chans.Release()
 	r.q.Release()
 	d.link.CheckInvariants()
-	c := Completion{Command: r.cmd, Submitted: r.submitted, Done: d.eng.Now()}
 	d.completions++
-	d.latencySum += c.Latency()
-	done, call, cctx, carg := r.done, r.call, r.ctx, r.arg
-	// Recycle before invoking the callback: it may Submit again and is
-	// free to reuse this record, since c carries everything it needs.
-	r.done, r.call, r.ctx, r.q = nil, nil, nil, nil
+	d.latencySum += d.eng.Now() - r.submitted
+	call, cctx, carg := r.call, r.ctx, r.arg
+	// Recycle before invoking the callback: it may submit again and is
+	// free to reuse this record.
+	r.call, r.ctx, r.q = nil, nil, nil
 	d.pool = append(d.pool, r)
-	if done != nil {
-		done(c)
-	}
 	if call != nil {
 		call(cctx, carg)
 	}
@@ -327,25 +312,11 @@ func (d *Disk) Reset() {
 	d.completions = 0
 }
 
-// Submit issues cmd on the next queue pair (round-robin). done, if
-// non-nil, runs when the completion entry is posted. Submission blocks
-// (in virtual time) while the chosen queue is full, modeling a GPU warp
-// polling for a free submission-queue entry.
-func (d *Disk) Submit(cmd Command, done func(Completion)) {
-	if cmd.Bytes <= 0 {
-		panic("nvme: command with non-positive byte count")
-	}
-	r := d.newRequest()
-	r.cmd = cmd
-	r.done = done
-	r.q = d.queues[d.next]
-	d.next = (d.next + 1) % len(d.queues)
-	r.q.AcquireCall(requestEnter, r, 0)
-}
-
-// SubmitCall is the typed-callback form of Submit for callers that do
-// not need the Completion entry: call(ctx, arg) runs when the completion
-// is posted, with no per-command closure.
+// SubmitCall issues cmd on the next queue pair (round-robin).
+// call(ctx, arg) runs when the completion entry is posted, with no
+// per-command closure; a nil call drops the completion. Submission
+// blocks (in virtual time) while the chosen queue is full, modeling a
+// GPU warp polling for a free submission-queue entry.
 func (d *Disk) SubmitCall(cmd Command, call sim.EventFunc, ctx any, arg int64) {
 	if cmd.Bytes <= 0 {
 		panic("nvme: command with non-positive byte count")
@@ -358,19 +329,14 @@ func (d *Disk) SubmitCall(cmd Command, call sim.EventFunc, ctx any, arg int64) {
 	r.q.AcquireCall(requestEnter, r, 0)
 }
 
-// ReadCall is the typed-callback form of Read.
+// ReadCall issues an OpRead of n bytes at lba (see SubmitCall).
 func (d *Disk) ReadCall(lba, n int64, call sim.EventFunc, ctx any, arg int64) {
 	d.SubmitCall(Command{Op: OpRead, LBA: lba, Bytes: n}, call, ctx, arg)
 }
 
-// Read is a convenience wrapper issuing an OpRead of n bytes at lba.
-func (d *Disk) Read(lba, n int64, done func(Completion)) {
-	d.Submit(Command{Op: OpRead, LBA: lba, Bytes: n}, done)
-}
-
-// Write is a convenience wrapper issuing an OpWrite of n bytes at lba.
-func (d *Disk) Write(lba, n int64, done func(Completion)) {
-	d.Submit(Command{Op: OpWrite, LBA: lba, Bytes: n}, done)
+// WriteCall issues an OpWrite of n bytes at lba (see SubmitCall).
+func (d *Disk) WriteCall(lba, n int64, call sim.EventFunc, ctx any, arg int64) {
+	d.SubmitCall(Command{Op: OpWrite, LBA: lba, Bytes: n}, call, ctx, arg)
 }
 
 // Stats is a snapshot of drive counters.

@@ -14,7 +14,9 @@ func TestUnloadedReadLatency(t *testing.T) {
 	eng := sim.NewEngine()
 	d := New(eng, DefaultConfig())
 	var got sim.Time
-	d.Read(0, page, func(c Completion) { got = c.Latency() })
+	// The command is granted its queue slot at 0, so it completes at
+	// its end-to-end latency.
+	d.ReadCall(0, page, sim.CallFunc, func() { got = eng.Now() }, 0)
 	eng.Run()
 	// Paper §3.4: retrieving a page from SSD costs ≈130 µs.
 	if got < 110*sim.Microsecond || got > 150*sim.Microsecond {
@@ -27,7 +29,7 @@ func TestSaturatedReadBandwidth(t *testing.T) {
 	d := New(eng, DefaultConfig())
 	const n = 2000
 	for i := 0; i < n; i++ {
-		d.Read(int64(i), page, nil)
+		d.ReadCall(int64(i), page, sim.CallFunc, nil, 0)
 	}
 	eng.Run()
 	elapsed := eng.Now()
@@ -45,7 +47,7 @@ func TestQueueDepthBoundsInFlight(t *testing.T) {
 	cfg.QueueDepth = 4
 	d := New(eng, cfg)
 	for i := 0; i < 100; i++ {
-		d.Read(int64(i), page, nil)
+		d.ReadCall(int64(i), page, sim.CallFunc, nil, 0)
 	}
 	if got := d.queues[0].InUse(); got != 4 {
 		t.Fatalf("in-service commands = %d, want queue depth 4", got)
@@ -64,7 +66,7 @@ func TestMultiQueueRaisesInFlight(t *testing.T) {
 	cfg.QueueDepth = 4
 	d := New(eng, cfg)
 	for i := 0; i < 100; i++ {
-		d.Read(int64(i), page, nil)
+		d.ReadCall(int64(i), page, sim.CallFunc, nil, 0)
 	}
 	inUse := 0
 	for _, q := range d.queues {
@@ -92,7 +94,7 @@ func TestMultiQueueHelpsUnderShallowDepth(t *testing.T) {
 		cfg.QueueDepth = 2
 		d := New(eng, cfg)
 		for i := 0; i < 64; i++ {
-			d.Read(int64(i), page, nil)
+			d.ReadCall(int64(i), page, sim.CallFunc, nil, 0)
 		}
 		eng.Run()
 		return eng.Now()
@@ -109,7 +111,7 @@ func TestSaturatedWriteBandwidth(t *testing.T) {
 	d := New(eng, DefaultConfig())
 	const n = 1000
 	for i := 0; i < n; i++ {
-		d.Write(int64(i), page, nil)
+		d.WriteCall(int64(i), page, sim.CallFunc, nil, 0)
 	}
 	eng.Run()
 	bps := int64(n) * page * sim.Second / eng.Now()
@@ -122,9 +124,9 @@ func TestSaturatedWriteBandwidth(t *testing.T) {
 func TestStatsAccounting(t *testing.T) {
 	eng := sim.NewEngine()
 	d := New(eng, DefaultConfig())
-	d.Read(0, page, nil)
-	d.Read(1, page, nil)
-	d.Write(2, 2*page, nil)
+	d.ReadCall(0, page, sim.CallFunc, nil, 0)
+	d.ReadCall(1, page, sim.CallFunc, nil, 0)
+	d.WriteCall(2, 2*page, sim.CallFunc, nil, 0)
 	eng.Run()
 	s := d.Stats()
 	if s.Reads != 2 || s.Writes != 1 {
@@ -145,7 +147,7 @@ func TestParallelismHidesLatency(t *testing.T) {
 		eng := sim.NewEngine()
 		d := New(eng, DefaultConfig())
 		for i := 0; i < n; i++ {
-			d.Read(int64(i), page, nil)
+			d.ReadCall(int64(i), page, sim.CallFunc, nil, 0)
 		}
 		eng.Run()
 		return eng.Now()
@@ -166,7 +168,7 @@ func TestZeroByteCommandPanics(t *testing.T) {
 			t.Error("zero-byte command did not panic")
 		}
 	}()
-	New(sim.NewEngine(), DefaultConfig()).Read(0, 0, nil)
+	New(sim.NewEngine(), DefaultConfig()).ReadCall(0, 0, sim.CallFunc, nil, 0)
 }
 
 // Property: every submitted command completes exactly once, in any
@@ -187,10 +189,10 @@ func TestNoCommandLost(t *testing.T) {
 				op = OpWrite
 			}
 			at := sim.Time(rng.Intn(100_000))
-			eng.At(at, func() {
-				d.Submit(Command{Op: op, LBA: int64(i), Bytes: page},
-					func(Completion) { completed++ })
-			})
+			eng.AtCall(at, sim.CallFunc, func() {
+				d.SubmitCall(Command{Op: op, LBA: int64(i), Bytes: page},
+					sim.CallFunc, func() { completed++ }, 0)
+			}, 0)
 		}
 		eng.Run()
 		return completed == total && d.Stats().Completions == int64(total)

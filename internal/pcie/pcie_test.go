@@ -22,8 +22,8 @@ func TestLinkDirectionsIndependent(t *testing.T) {
 	eng := sim.NewEngine()
 	l := NewLinkRate(eng, 1, 1_000_000_000, 0)
 	var upDone, downDone sim.Time
-	l.Up.Transfer(1000, func() { upDone = eng.Now() })
-	l.Down.Transfer(1000, func() { downDone = eng.Now() })
+	l.Up.TransferCall(1000, sim.CallFunc, func() { upDone = eng.Now() }, 0)
+	l.Down.TransferCall(1000, sim.CallFunc, func() { downDone = eng.Now() }, 0)
 	eng.Run()
 	// Full duplex: both complete at 1000ns, not serialized.
 	if upDone != 1000 || downDone != 1000 {
@@ -35,7 +35,7 @@ func TestLink64KPageTime(t *testing.T) {
 	eng := sim.NewEngine()
 	l := NewLink(eng, 16)
 	var done sim.Time
-	l.Down.Transfer(64*1024, func() { done = eng.Now() })
+	l.Down.TransferCall(64*1024, sim.CallFunc, func() { done = eng.Now() }, 0)
 	eng.Run()
 	// 64 KiB over 12.8 GB/s ≈ 5.1 µs + ~0.9 µs latency ≈ 6 µs.
 	if done < 5*sim.Microsecond || done > 7*sim.Microsecond {
@@ -46,8 +46,8 @@ func TestLink64KPageTime(t *testing.T) {
 func TestTotalBytes(t *testing.T) {
 	eng := sim.NewEngine()
 	l := NewLink(eng, 4)
-	l.Up.Transfer(100, nil)
-	l.Down.Transfer(200, nil)
+	l.Up.TransferCall(100, sim.CallFunc, nil, 0)
+	l.Down.TransferCall(200, sim.CallFunc, nil, 0)
 	eng.Run()
 	if l.TotalBytes() != 300 {
 		t.Fatalf("TotalBytes = %d, want 300", l.TotalBytes())

@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"strings"
 	"time"
@@ -187,6 +188,33 @@ func (s *Server) buildJob(reqCtx context.Context, req *SubmitRequest) (*job, err
 	}, nil
 }
 
+// Size limits on the scales and configs of experiment and sim jobs. The
+// working set is osf × (t1 + t2) pages, and a kernel allocates one
+// record per warp, so unbounded client JSON could ask a worker for
+// gigabytes. The limits sit far above every committed workload (the
+// defaults are T1 1024, T2 4096, OSF 2 and 256 warps).
+const (
+	maxTierPages       = 1 << 16
+	maxOversubscribe   = 64
+	maxWorkingSetPages = 1 << 18
+	maxWarps           = 1 << 16
+)
+
+// checkScale rejects a dataset scale outside the job size limits,
+// including a non-finite or non-positive oversubscription factor.
+func checkScale(t1, t2 int, osf float64) error {
+	switch {
+	case t1 < 0 || t2 < 0 || t1 > maxTierPages || t2 > maxTierPages:
+		return fmt.Errorf("scale: tier sizes must be in [0, %d] pages (got t1=%d, t2=%d)", maxTierPages, t1, t2)
+	case math.IsNaN(osf) || math.IsInf(osf, 0) || osf <= 0 || osf > maxOversubscribe:
+		return fmt.Errorf("scale: osf must be in (0, %d] (got %g)", maxOversubscribe, osf)
+	case osf*float64(t1+t2) > maxWorkingSetPages:
+		return fmt.Errorf("scale: working set osf × (t1 + t2) = %g pages exceeds the limit of %d",
+			osf*float64(t1+t2), maxWorkingSetPages)
+	}
+	return nil
+}
+
 // buildExperiment resolves an experiment request exactly the way
 // gmtbench resolves its flags, so equal inputs produce equal bytes.
 func (s *Server) buildExperiment(req *ExperimentRequest) (string, func(context.Context) ([]byte, error), error) {
@@ -207,6 +235,9 @@ func (s *Server) buildExperiment(req *ExperimentRequest) (string, func(context.C
 	if req.Quick {
 		scale.Tier1Pages /= 4
 		scale.Tier2Pages /= 4
+	}
+	if err := checkScale(scale.Tier1Pages, scale.Tier2Pages, scale.Oversubscription); err != nil {
+		return "", nil, err
 	}
 	scale.DatasetSeed = req.DatasetSeed
 	seed := req.Seed
@@ -274,11 +305,19 @@ func (s *Server) buildSim(req *SimRequest) (string, func(context.Context) ([]byt
 			cfg.Seed = def.Seed
 		}
 	}
+	if err := checkScale(scale.Tier1Pages, scale.Tier2Pages, scale.Oversubscription); err != nil {
+		return "", nil, err
+	}
 	if cfg.Tier1Pages < 1 || cfg.Warps < 1 ||
 		(cfg.Tier2Pages < 1 && cfg.Policy != gmt.BaM) {
 		return "", nil, fmt.Errorf(
 			"invalid config: Tier1Pages and Warps must be >= 1, Tier2Pages >= 1 for 3-tier policies (got %d, %d, %d)",
 			cfg.Tier1Pages, cfg.Tier2Pages, cfg.Warps)
+	}
+	if cfg.Tier1Pages > maxTierPages || cfg.Tier2Pages > maxTierPages || cfg.Warps > maxWarps {
+		return "", nil, fmt.Errorf(
+			"invalid config: Tier1Pages and Tier2Pages must be <= %d, Warps <= %d (got %d, %d, %d)",
+			maxTierPages, maxWarps, cfg.Tier1Pages, cfg.Tier2Pages, cfg.Warps)
 	}
 	var app string
 	names := append(gmt.WorkloadNames(), workload.KVServeName)

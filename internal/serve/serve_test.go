@@ -368,10 +368,11 @@ func TestSimPartialConfigRunsWithDefaults(t *testing.T) {
 }
 
 // TestSubmitValidation: every malformed or out-of-range submission is
-// a 400 that admits no job. Fleet sizes come from client JSON, so specs
-// beyond the fleet size limits are refused at submit, before the stream
-// they would materialize is generated; the stubbed executor keeps a
-// wrongly admitted job from running.
+// a 400 that admits no job. Fleet sizes, dataset scales, tier sizes and
+// warp counts come from client JSON, so values beyond the size limits
+// are refused at submit, before anything they would materialize is
+// built; the stubbed executor keeps a wrongly admitted job from
+// running.
 func TestSubmitValidation(t *testing.T) {
 	s := New(Options{Workers: 1, QueueDepth: 1})
 	s.exec = func(j *job) ([]byte, error) { return nil, fmt.Errorf("job %s admitted", j.id) }
@@ -394,6 +395,20 @@ func TestSubmitValidation(t *testing.T) {
 		`{"kind":"fleet","fleet":{"nodes":10000000}}`,
 		`{"kind":"fleet","fleet":{"nodes":5000,"requests":100}}`,
 		`{"kind":"fleet","fleet":{"nodes":4,"requests":2000000}}`,
+		`{"kind":"experiment","experiment":{"name":"fig8","t1":100000000}}`,
+		`{"kind":"experiment","experiment":{"name":"fig8","t2":100000000}}`,
+		`{"kind":"experiment","experiment":{"name":"fig8","osf":1000000}}`,
+		`{"kind":"experiment","experiment":{"name":"fig8","t1":60000,"t2":60000,"osf":4}}`,
+		`{"kind":"sim","sim":{"app":"BFS","config":{"Warps":1000000000}}}`,
+		`{"kind":"sim","sim":{"app":"BFS","config":{"Tier1Pages":100000000}}}`,
+		`{"kind":"sim","sim":{"app":"BFS","config":{"Tier2Pages":100000000}}}`,
+		`{"kind":"sim","sim":{"app":"BFS","scale":{"Tier1Pages":100000000,"Tier2Pages":4096,"Oversubscription":2}}}`,
+		`{"kind":"sim","sim":{"app":"BFS","scale":{"Tier1Pages":1024,"Tier2Pages":100000000,"Oversubscription":2}}}`,
+		`{"kind":"sim","sim":{"app":"BFS","scale":{"Tier1Pages":1024,"Tier2Pages":4096,"Oversubscription":1000000}}}`,
+		`{"kind":"sim","sim":{"app":"BFS","scale":{"Tier1Pages":60000,"Tier2Pages":60000,"Oversubscription":4}}}`,
+		`{"kind":"sim","sim":{"app":"BFS","scale":{"Tier1Pages":1024,"Tier2Pages":4096}}}`,
+		`{"kind":"sim","sim":{"app":"BFS","scale":{"Tier1Pages":1024,"Tier2Pages":4096,"Oversubscription":-2}}}`,
+		`{"kind":"sim","sim":{"app":"BFS","scale":{"Tier1Pages":-1,"Tier2Pages":4096,"Oversubscription":2}}}`,
 	} {
 		if rec := post(t, s, body); rec.Code != http.StatusBadRequest {
 			t.Errorf("submit %s: want 400, got %d %s", body, rec.Code, rec.Body.String())

@@ -8,9 +8,9 @@ import (
 )
 
 // Microbenchmarks and allocation gates for the engine's schedule/dispatch
-// cycle. The typed path (AtCall/AfterCall) must be allocation-free in
-// steady state; the compatibility path (At/After) may pay for the
-// caller's closure but nothing engine-side.
+// cycle. AtCall/AfterCall must be allocation-free in steady state; a
+// closure scheduled through CallFunc may pay for the caller's closure
+// but nothing engine-side.
 
 func nopCall(any, int64) {}
 
@@ -26,17 +26,17 @@ func BenchmarkScheduleDispatchTyped(b *testing.B) {
 	}
 }
 
-// BenchmarkScheduleDispatchClosure measures the compatibility path with
-// a capturing closure — what all device packages paid per event before
-// the typed path existed. The delta against the typed benchmark is the
-// per-event saving.
+// BenchmarkScheduleDispatchClosure measures a capturing closure
+// scheduled through the CallFunc adapter — what all device packages paid
+// per event before the typed path existed. The delta against the typed
+// benchmark is the per-event saving.
 func BenchmarkScheduleDispatchClosure(b *testing.B) {
 	e := NewEngine()
 	sink := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.After(1, func() { sink = i })
+		e.AfterCall(1, CallFunc, func() { sink = i }, 0)
 		e.Run()
 	}
 	_ = sink
@@ -103,9 +103,9 @@ func allocGatesEnabled() bool { return !raceflag.Enabled && !invariant.Enabled }
 
 // TestScheduleDispatchAllocGate is the CI gate for the tentpole's
 // engine half: a steady-state schedule+dispatch cycle on the typed path
-// performs zero allocations, and the compatibility path allocates only
-// the caller's closure (at most 1/op) — at least 2x fewer than the old
-// closure+interface-boxing representation's 2/op.
+// performs zero allocations, and a closure scheduled through CallFunc
+// allocates only the caller's closure (at most 1/op) — at least 2x
+// fewer than the old closure+interface-boxing representation's 2/op.
 func TestScheduleDispatchAllocGate(t *testing.T) {
 	if !allocGatesEnabled() {
 		t.Skip("allocation gates run on the default build only")
@@ -142,7 +142,7 @@ func TestScheduleDispatchAllocGate(t *testing.T) {
 
 	sink := 0
 	compat := testing.AllocsPerRun(200, func() {
-		e.After(1, func() { sink++ })
+		e.AfterCall(1, CallFunc, func() { sink++ }, 0)
 		e.Run()
 	})
 	if compat > 1 {
@@ -162,11 +162,11 @@ func TestPipeTransferAllocGate(t *testing.T) {
 	p := NewPipe(e, 1_000_000_000, 100)
 	done := func() {}
 	for i := 0; i < 64; i++ {
-		p.Transfer(4096, done)
+		p.TransferCall(4096, CallFunc, done, 0)
 	}
 	e.Run()
 	n := testing.AllocsPerRun(200, func() {
-		p.Transfer(4096, done)
+		p.TransferCall(4096, CallFunc, done, 0)
 		e.Run()
 	})
 	if n != 0 {

@@ -8,17 +8,17 @@
 // The engine is single-goroutine: callbacks run on the caller of Run, and
 // no synchronization is required inside components.
 //
-// # Scheduling paths
+// # Scheduling
 //
 // AtCall/AfterCall accept an EventFunc — a top-level function plus a
 // context pointer and an int64 argument — and allocate nothing in
-// steady state; the per-access hot paths (warp stepping, pipe
-// completions) use them. At/After accept a plain func() and store it as
-// CallFunc's context: a func value is pointer-shaped, so the caller's
-// closure is the only allocation. Both paths therefore share one
-// representation, free-listed event records threaded through a
-// hierarchical timing wheel, with no boxing or per-event allocation
-// inside the engine.
+// steady state. Every component schedules this way, and the devices'
+// completions (Server grants, Pipe arrivals, drive commands, page
+// moves) take the same triple. A caller holding a plain func() passes
+// it as CallFunc's context: a func value is pointer-shaped, so the
+// caller's closure is the only allocation. Events live in free-listed
+// records threaded through a hierarchical timing wheel, with no boxing
+// or per-event allocation inside the engine.
 //
 // # Queue discipline
 //
@@ -77,13 +77,12 @@ const (
 type EventFunc func(ctx any, arg int64)
 
 // CallFunc is an EventFunc that invokes its context as a niladic
-// function. It lets a caller holding an existing func() — typically a
-// completion callback threaded through device layers — schedule it
-// without wrapping it in a new closure:
+// function. It is the one adapter from a func() to the typed form:
 //
 //	eng.AtCall(t, sim.CallFunc, done, 0)
 //
-// A nil done is tolerated, so completion paths need no branch.
+// A nil context is tolerated, so a completion nobody waits for is
+// written CallFunc with a nil context and still keeps its event.
 func CallFunc(ctx any, _ int64) {
 	if fn, ok := ctx.(func()); ok && fn != nil {
 		fn()
@@ -116,8 +115,7 @@ type eventRecord struct {
 	// next links the record into its wheel slot's FIFO list.
 	next int32
 
-	// call(ctx, arg) is the event. The closure path stores its func()
-	// as ctx with call = CallFunc, so both APIs share this one shape.
+	// call(ctx, arg) is the event.
 	call EventFunc
 	ctx  any
 	arg  int64
@@ -267,25 +265,18 @@ func (e *Engine) AdvanceTo(t Time) {
 	e.now = t
 }
 
-// At schedules fn to run at virtual time t. Scheduling in the past panics:
-// it always indicates a modeling bug. fn rides the typed path as
-// CallFunc's context; a func value is pointer-shaped, so storing it in
-// the record allocates nothing beyond the caller's closure.
-func (e *Engine) At(t Time, fn func()) { e.schedule(t, CallFunc, fn, 0) }
-
-// After schedules fn to run d nanoseconds from now. Negative d panics.
-func (e *Engine) After(d Time, fn func()) { e.schedule(e.now+d, CallFunc, fn, 0) }
-
-// AtCall schedules call(ctx, arg) at virtual time t. Unlike At, this
-// path performs no allocation in steady state: the callback is a shared
-// function value and the context travels as a pointer.
+// AtCall schedules call(ctx, arg) at virtual time t. Scheduling in the
+// past panics: it always indicates a modeling bug. No allocation happens
+// in steady state: the callback is a shared function value and the
+// context travels as a pointer.
 //
 //gmt:hotpath
 func (e *Engine) AtCall(t Time, call EventFunc, ctx any, arg int64) {
 	e.schedule(t, call, ctx, arg)
 }
 
-// AfterCall schedules call(ctx, arg) d nanoseconds from now.
+// AfterCall schedules call(ctx, arg) d nanoseconds from now. Negative d
+// panics.
 //
 //gmt:hotpath
 func (e *Engine) AfterCall(d Time, call EventFunc, ctx any, arg int64) {

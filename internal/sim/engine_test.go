@@ -10,9 +10,9 @@ import (
 func TestEngineOrdering(t *testing.T) {
 	e := NewEngine()
 	var got []int
-	e.At(30, func() { got = append(got, 3) })
-	e.At(10, func() { got = append(got, 1) })
-	e.At(20, func() { got = append(got, 2) })
+	e.AtCall(30, CallFunc, func() { got = append(got, 3) }, 0)
+	e.AtCall(10, CallFunc, func() { got = append(got, 1) }, 0)
+	e.AtCall(20, CallFunc, func() { got = append(got, 2) }, 0)
 	e.Run()
 	want := []int{1, 2, 3}
 	for i := range want {
@@ -30,7 +30,7 @@ func TestEngineTieBreakFIFO(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.At(100, func() { got = append(got, i) })
+		e.AtCall(100, CallFunc, func() { got = append(got, i) }, 0)
 	}
 	e.Run()
 	for i := 0; i < 10; i++ {
@@ -43,12 +43,12 @@ func TestEngineTieBreakFIFO(t *testing.T) {
 func TestEngineAfterNesting(t *testing.T) {
 	e := NewEngine()
 	var times []Time
-	e.After(5, func() {
+	e.AfterCall(5, CallFunc, func() {
 		times = append(times, e.Now())
-		e.After(7, func() {
+		e.AfterCall(7, CallFunc, func() {
 			times = append(times, e.Now())
-		})
-	})
+		}, 0)
+	}, 0)
 	e.Run()
 	if times[0] != 5 || times[1] != 12 {
 		t.Fatalf("times = %v, want [5 12]", times)
@@ -57,23 +57,23 @@ func TestEngineAfterNesting(t *testing.T) {
 
 func TestEnginePastSchedulingPanics(t *testing.T) {
 	e := NewEngine()
-	e.At(10, func() {
+	e.AtCall(10, CallFunc, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		e.At(5, func() {})
-	})
+		e.AtCall(5, CallFunc, func() {}, 0)
+	}, 0)
 	e.Run()
 }
 
 func TestEngineRunUntil(t *testing.T) {
 	e := NewEngine()
 	fired := 0
-	e.At(10, func() { fired++ })
-	e.At(20, func() { fired++ })
-	e.At(30, func() { fired++ })
+	e.AtCall(10, CallFunc, func() { fired++ }, 0)
+	e.AtCall(20, CallFunc, func() { fired++ }, 0)
+	e.AtCall(30, CallFunc, func() { fired++ }, 0)
 	e.RunUntil(20)
 	if fired != 2 {
 		t.Fatalf("fired = %d, want 2", fired)
@@ -90,7 +90,7 @@ func TestEngineRunUntil(t *testing.T) {
 func TestEngineSteps(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 5; i++ {
-		e.At(Time(i), func() {})
+		e.AtCall(Time(i), CallFunc, func() {}, 0)
 	}
 	e.Run()
 	if e.Steps() != 5 {
@@ -107,7 +107,7 @@ func TestEngineMonotonicProperty(t *testing.T) {
 		var fired []Time
 		for i := 0; i < int(n)+1; i++ {
 			at := Time(rng.Intn(1000))
-			e.At(at, func() { fired = append(fired, e.Now()) })
+			e.AtCall(at, CallFunc, func() { fired = append(fired, e.Now()) }, 0)
 		}
 		e.Run()
 		for i := 1; i < len(fired); i++ {
@@ -127,10 +127,10 @@ func TestServerCapacity(t *testing.T) {
 	s := NewServer(e, 2)
 	var order []int
 	start := func(id int, hold Time) {
-		s.Acquire(func() {
+		s.AcquireCall(CallFunc, func() {
 			order = append(order, id)
-			e.After(hold, s.Release)
-		})
+			e.AfterCall(hold, CallFunc, s.Release, 0)
+		}, 0)
 	}
 	start(1, 10)
 	start(2, 10)
@@ -150,10 +150,10 @@ func TestServerFIFOGrants(t *testing.T) {
 	var order []int
 	for i := 1; i <= 5; i++ {
 		i := i
-		s.Acquire(func() {
+		s.AcquireCall(CallFunc, func() {
 			order = append(order, i)
-			e.After(1, s.Release)
-		})
+			e.AfterCall(1, CallFunc, s.Release, 0)
+		}, 0)
 	}
 	e.Run()
 	for i := 0; i < 5; i++ {
@@ -163,18 +163,6 @@ func TestServerFIFOGrants(t *testing.T) {
 	}
 	if s.Grants() != 5 {
 		t.Fatalf("Grants = %d, want 5", s.Grants())
-	}
-}
-
-func TestServerUse(t *testing.T) {
-	e := NewEngine()
-	s := NewServer(e, 1)
-	var doneAt []Time
-	s.Use(10, func() { doneAt = append(doneAt, e.Now()) })
-	s.Use(10, func() { doneAt = append(doneAt, e.Now()) })
-	e.Run()
-	if doneAt[0] != 10 || doneAt[1] != 20 {
-		t.Fatalf("doneAt = %v, want [10 20]", doneAt)
 	}
 }
 
@@ -192,7 +180,7 @@ func TestPipeBandwidth(t *testing.T) {
 	// 1 GB/s: 1000 bytes take 1000ns.
 	p := NewPipe(e, 1_000_000_000, 0)
 	var doneAt Time
-	p.Transfer(1000, func() { doneAt = e.Now() })
+	p.TransferCall(1000, CallFunc, func() { doneAt = e.Now() }, 0)
 	e.Run()
 	if doneAt != 1000 {
 		t.Fatalf("1000B @ 1GB/s done at %d, want 1000", doneAt)
@@ -204,7 +192,7 @@ func TestPipeSerialization(t *testing.T) {
 	p := NewPipe(e, 1_000_000_000, 0)
 	var ends []Time
 	for i := 0; i < 3; i++ {
-		p.Transfer(1000, func() { ends = append(ends, e.Now()) })
+		p.TransferCall(1000, CallFunc, func() { ends = append(ends, e.Now()) }, 0)
 	}
 	e.Run()
 	want := []Time{1000, 2000, 3000}
@@ -219,8 +207,8 @@ func TestPipePipelinedLatency(t *testing.T) {
 	e := NewEngine()
 	p := NewPipe(e, 1_000_000_000, 500)
 	var ends []Time
-	p.Transfer(1000, func() { ends = append(ends, e.Now()) })
-	p.Transfer(1000, func() { ends = append(ends, e.Now()) })
+	p.TransferCall(1000, CallFunc, func() { ends = append(ends, e.Now()) }, 0)
+	p.TransferCall(1000, CallFunc, func() { ends = append(ends, e.Now()) }, 0)
 	e.Run()
 	// Latency delays completion but transfers still stream back to back:
 	// 1000+500, 2000+500 — not 1500+1500.
@@ -233,9 +221,9 @@ func TestPipeIdleGap(t *testing.T) {
 	e := NewEngine()
 	p := NewPipe(e, 1_000_000_000, 0)
 	var end Time
-	e.At(5000, func() {
-		p.Transfer(1000, func() { end = e.Now() })
-	})
+	e.AtCall(5000, CallFunc, func() {
+		p.TransferCall(1000, CallFunc, func() { end = e.Now() }, 0)
+	}, 0)
 	e.Run()
 	if end != 6000 {
 		t.Fatalf("end = %d, want 6000 (transfer starts at submission)", end)
@@ -254,7 +242,7 @@ func TestPipeBusyConservation(t *testing.T) {
 			sz := int64(rng.Intn(1<<16) + 1)
 			want += p.TransferTime(sz)
 			at := Time(rng.Intn(10000))
-			e.At(at, func() { p.Transfer(sz, nil) })
+			e.AtCall(at, CallFunc, func() { p.TransferCall(sz, CallFunc, nil, 0) }, 0)
 		}
 		e.Run()
 		return p.BusyTime() == want
@@ -269,9 +257,9 @@ func TestPipeTransferLimited(t *testing.T) {
 	p := NewPipe(e, 1_000_000_000, 0) // 1 GB/s pipe
 	var ends []Time
 	// A requester limited to 0.5 GB/s occupies the pipe twice as long.
-	p.TransferLimited(1000, 500_000_000, func() { ends = append(ends, e.Now()) })
+	p.TransferLimitedCall(1000, 500_000_000, CallFunc, func() { ends = append(ends, e.Now()) }, 0)
 	// A faster-than-pipe requester is clamped to the pipe rate.
-	p.TransferLimited(1000, 2_000_000_000, func() { ends = append(ends, e.Now()) })
+	p.TransferLimitedCall(1000, 2_000_000_000, CallFunc, func() { ends = append(ends, e.Now()) }, 0)
 	e.Run()
 	if ends[0] != 2000 {
 		t.Fatalf("limited transfer ended at %d, want 2000", ends[0])
@@ -284,7 +272,7 @@ func TestPipeTransferLimited(t *testing.T) {
 func TestPipeBacklogAndStats(t *testing.T) {
 	e := NewEngine()
 	p := NewPipe(e, 1_000_000_000, 0)
-	p.Transfer(5000, nil)
+	p.TransferCall(5000, CallFunc, nil, 0)
 	if p.Backlog() != 5000 {
 		t.Fatalf("backlog = %d, want 5000", p.Backlog())
 	}
@@ -301,7 +289,7 @@ func TestServerQueueStats(t *testing.T) {
 	e := NewEngine()
 	s := NewServer(e, 1)
 	for i := 0; i < 4; i++ {
-		s.Use(10, nil)
+		s.AcquireCall(CallFunc, func() { e.AfterCall(10, CallFunc, s.Release, 0) }, 0)
 	}
 	if s.MaxQueue() != 3 {
 		t.Fatalf("MaxQueue = %d, want 3", s.MaxQueue())
@@ -314,7 +302,7 @@ func TestServerQueueStats(t *testing.T) {
 
 func TestEnginePendingAndZeroCapacityPanics(t *testing.T) {
 	e := NewEngine()
-	e.At(5, func() {})
+	e.AtCall(5, CallFunc, func() {}, 0)
 	if e.Pending() != 1 {
 		t.Fatalf("Pending = %d", e.Pending())
 	}
@@ -374,7 +362,7 @@ func TestPopReleasesDispatchedEvents(t *testing.T) {
 	for round, k := range []int{n, 1, 3, n / 2} {
 		for i := 0; i < k; i++ {
 			i := i
-			e.After(Time(i), func() { _ = i })
+			e.AfterCall(Time(i), CallFunc, func() { _ = i }, 0)
 		}
 		e.Run()
 		swept(fmt.Sprintf("Run, round %d", round))
@@ -399,7 +387,7 @@ func TestEngineTypedPathOrdering(t *testing.T) {
 	var got []int64
 	e.AtCall(30, countCall, &got, 3)
 	e.AtCall(10, countCall, &got, 1)
-	e.At(20, func() { got = append(got, 2) })
+	e.AtCall(20, CallFunc, func() { got = append(got, 2) }, 0)
 	e.AfterCall(25, countCall, &got, 4) // now=0, fires at 25
 	e.Run()
 	want := []int64{1, 2, 4, 3}
@@ -429,20 +417,20 @@ func TestEngineCallFunc(t *testing.T) {
 
 func TestEnginePastTypedSchedulingPanics(t *testing.T) {
 	e := NewEngine()
-	e.At(10, func() {
+	e.AtCall(10, CallFunc, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("typed scheduling in the past did not panic")
 			}
 		}()
 		e.AtCall(5, CallFunc, nil, 0)
-	})
+	}, 0)
 	e.Run()
 }
 
 func TestEngineRunUntilBackwardsPanics(t *testing.T) {
 	e := NewEngine()
-	e.At(10, func() {})
+	e.AtCall(10, CallFunc, func() {}, 0)
 	e.RunUntil(50)
 	if e.Now() != 50 {
 		t.Fatalf("Now = %d, want 50", e.Now())
@@ -482,19 +470,19 @@ func TestEnginePeek(t *testing.T) {
 	if _, ok := e.Peek(); ok {
 		t.Fatal("Peek on an empty engine reported an event")
 	}
-	e.At(30, func() {})
-	e.At(10, func() {})
+	e.AtCall(30, CallFunc, func() {}, 0)
+	e.AtCall(10, CallFunc, func() {}, 0)
 	if at, ok := e.Peek(); !ok || at != 10 {
 		t.Fatalf("Peek = %d,%v, want 10,true", at, ok)
 	}
-	e.At(5, func() {})
+	e.AtCall(5, CallFunc, func() {}, 0)
 	if at, ok := e.Peek(); !ok || at != 5 {
 		t.Fatalf("Peek after earlier schedule = %d,%v, want 5,true", at, ok)
 	}
 	// Peek must not dispatch or restructure: the full run still fires
 	// everything in order.
 	var fired []Time
-	e.At(20, func() { fired = append(fired, e.Now()) })
+	e.AtCall(20, CallFunc, func() { fired = append(fired, e.Now()) }, 0)
 	e.Run()
 	if e.Steps() != 4 || e.Now() != 30 {
 		t.Fatalf("after run: steps=%d now=%d, want 4, 30", e.Steps(), e.Now())
@@ -536,7 +524,7 @@ func TestEnginePeekAgreesWithDispatch(t *testing.T) {
 
 func TestEngineAdvanceTo(t *testing.T) {
 	e := NewEngine()
-	e.At(100, func() {})
+	e.AtCall(100, CallFunc, func() {}, 0)
 	e.AdvanceTo(40)
 	if e.Now() != 40 {
 		t.Fatalf("Now = %d, want 40", e.Now())
@@ -562,11 +550,11 @@ func TestEngineFarEvents(t *testing.T) {
 	e := NewEngine()
 	var got []int
 	const far = Time(1) << 40
-	e.At(far+5, func() { got = append(got, 4) })
-	e.At(3, func() { got = append(got, 1) })
-	e.At(far+5, func() { got = append(got, 5) }) // same instant, FIFO after 4
-	e.At(far, func() { got = append(got, 3) })
-	e.At(1<<33, func() { got = append(got, 2) })
+	e.AtCall(far+5, CallFunc, func() { got = append(got, 4) }, 0)
+	e.AtCall(3, CallFunc, func() { got = append(got, 1) }, 0)
+	e.AtCall(far+5, CallFunc, func() { got = append(got, 5) }, 0) // same instant, FIFO after 4
+	e.AtCall(far, CallFunc, func() { got = append(got, 3) }, 0)
+	e.AtCall(1<<33, CallFunc, func() { got = append(got, 2) }, 0)
 	e.Run()
 	want := []int{1, 2, 3, 4, 5}
 	for i := range want {
@@ -588,10 +576,10 @@ func TestEngineCascadeFIFO(t *testing.T) {
 	const at = Time(3)<<24 | Time(5)<<16 | Time(7)<<8 | 9 // occupies all levels
 	for i := 0; i < 64; i++ {
 		i := i
-		e.At(at, func() { got = append(got, i) })
+		e.AtCall(at, CallFunc, func() { got = append(got, i) }, 0)
 		// Interleave other instants in the same upper-level slots so the
 		// cascade has to split mixed lists.
-		e.At(at+Time(i%3)+1, func() {})
+		e.AtCall(at+Time(i%3)+1, CallFunc, func() {}, 0)
 	}
 	e.Run()
 	if len(got) != 64 {
@@ -755,7 +743,7 @@ func TestEngineRunUntilAcrossWindows(t *testing.T) {
 	times := []Time{1, 200, 70_000, 20_000_000, 1 << 34}
 	for _, at := range times {
 		at := at
-		e.At(at, func() { fired = append(fired, at) })
+		e.AtCall(at, CallFunc, func() { fired = append(fired, at) }, 0)
 	}
 	e.RunUntil(70_000)
 	if len(fired) != 3 || e.Now() != 70_000 {

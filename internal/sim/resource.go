@@ -17,8 +17,7 @@ type Server struct {
 	busy     int
 	// waiters is a head-cursor FIFO: Release pops at head rather than
 	// reslicing, so the backing array is reused instead of reallocated
-	// on every grant cycle. Entries hold the typed-call triple directly;
-	// the func() convenience path rides on CallFunc.
+	// on every grant cycle. Entries hold the typed-call triple directly.
 	waiters []waiter
 	head    int
 
@@ -42,13 +41,10 @@ func NewServer(eng *Engine, capacity int) *Server {
 	return &Server{eng: eng, capacity: capacity}
 }
 
-// Acquire requests a hold. fn runs as soon as a slot is available —
-// synchronously if one is free now, otherwise when a holder releases.
-func (s *Server) Acquire(fn func()) { s.AcquireCall(CallFunc, fn, 0) }
-
-// AcquireCall is the typed-callback form of Acquire: call(ctx, arg) runs
-// once a slot is available. Passing a pre-existing function with a
-// pointer context performs no allocation, mirroring Engine.AtCall.
+// AcquireCall requests a hold: call(ctx, arg) runs as soon as a slot is
+// available — synchronously if one is free now, otherwise when a holder
+// releases. Passing a pre-existing function with a pointer context
+// performs no allocation, mirroring Engine.AtCall.
 func (s *Server) AcquireCall(call EventFunc, ctx any, arg int64) {
 	if s.busy < s.capacity {
 		s.busy++
@@ -111,18 +107,6 @@ func (s *Server) Reset() {
 	s.head = 0
 	s.grants = 0
 	s.maxWait = 0
-}
-
-// Use acquires the server, holds it for d, then runs done after releasing.
-func (s *Server) Use(d Time, done func()) {
-	s.Acquire(func() {
-		s.eng.After(d, func() {
-			s.Release()
-			if done != nil {
-				done()
-			}
-		})
-	})
 }
 
 // InUse reports the number of current holders.
@@ -203,27 +187,18 @@ func (p *Pipe) TransferTime(n int64) Time {
 	return t
 }
 
-// Transfer queues n bytes through the pipe; done runs when the last byte
-// (plus propagation latency) has arrived.
-func (p *Pipe) Transfer(n int64, done func()) {
-	p.transfer(n, p.TransferTime(n), CallFunc, done, 0)
-}
-
-// TransferCall is the typed-callback form of Transfer: call(ctx, arg)
-// runs at arrival, with no per-transfer closure.
+// TransferCall queues n bytes through the pipe; call(ctx, arg) runs
+// when the last byte (plus propagation latency) has arrived. The
+// arrival is always an event, even when call is CallFunc with a nil
+// context, so a fire-and-forget transfer still advances the clock.
 func (p *Pipe) TransferCall(n int64, call EventFunc, ctx any, arg int64) {
 	p.transfer(n, p.TransferTime(n), call, ctx, arg)
 }
 
-// TransferLimited is Transfer for a requester that cannot saturate the
-// pipe: the transfer occupies the pipe at the slower of the pipe rate and
-// maxBps. It models, e.g., a zero-copy transfer driven by too few GPU
-// threads to fill the PCIe link (paper Figure 6).
-func (p *Pipe) TransferLimited(n, maxBps int64, done func()) {
-	p.transfer(n, p.limitedTime(n, maxBps), CallFunc, done, 0)
-}
-
-// TransferLimitedCall is the typed-callback form of TransferLimited.
+// TransferLimitedCall is TransferCall for a requester that cannot
+// saturate the pipe: the transfer occupies the pipe at the slower of the
+// pipe rate and maxBps. It models, e.g., a zero-copy transfer driven by
+// too few GPU threads to fill the PCIe link (paper Figure 6).
 func (p *Pipe) TransferLimitedCall(n, maxBps int64, call EventFunc, ctx any, arg int64) {
 	p.transfer(n, p.limitedTime(n, maxBps), call, ctx, arg)
 }
@@ -256,10 +231,7 @@ func (p *Pipe) transfer(n int64, occ Time, call EventFunc, ctx any, arg int64) {
 	p.bytes += n
 	p.transfers++
 	p.busy += occ
-	end := p.freeAt + p.latency
-	// Typed path: completion callbacks are on the per-transfer hot path
-	// and ride AtCall without a wrapping closure.
-	p.eng.AtCall(end, call, ctx, arg)
+	p.eng.AtCall(p.freeAt+p.latency, call, ctx, arg)
 }
 
 // Reset returns the pipe to its freshly constructed state: no pending

@@ -49,7 +49,7 @@ func TestPipeTransferLimitedLarge(t *testing.T) {
 	p := NewPipe(e, 8_000_000_000, 5)
 	n := int64(10) << 30 // 10 GiB
 	var doneAt Time
-	p.TransferLimited(n, 2_000_000_000, func() { doneAt = e.Now() })
+	p.TransferLimitedCall(n, 2_000_000_000, CallFunc, func() { doneAt = e.Now() }, 0)
 	e.Run()
 	want := mulDiv(n, Second, 2_000_000_000) + 5
 	if doneAt != want {

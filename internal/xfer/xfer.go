@@ -278,17 +278,12 @@ func (e *Engine) Reset() {
 	e.acquired, e.released = 0, 0
 }
 
-// MovePage transfers one page between GPU memory and host memory; up is
-// toward the host (a Tier-1 eviction into Tier-2), down is toward the GPU
-// (a Tier-2 hit). threads is how many GPU threads the requesting warp can
-// devote. The method is chosen per the configured mode, using the current
-// outstanding-transfer count as the effective batch size.
-func (e *Engine) MovePage(up bool, threads int, done func()) {
-	e.MovePageCall(up, threads, sim.CallFunc, done, 0)
-}
-
-// MovePageCall is the typed-callback form of MovePage: call(ctx, arg)
-// runs when the page lands, with no per-move closure.
+// MovePageCall transfers one page between GPU memory and host memory;
+// up is toward the host (a Tier-1 eviction into Tier-2), down is toward
+// the GPU (a Tier-2 hit). threads is how many GPU threads the requesting
+// warp can devote. The method is chosen per the configured mode, using
+// the current outstanding-transfer count as the effective batch size.
+// call(ctx, arg) runs when the page lands, with no per-move closure.
 func (e *Engine) MovePageCall(up bool, threads int, call sim.EventFunc, ctx any, arg int64) {
 	e.outstanding++
 	batch := e.outstanding

@@ -100,7 +100,7 @@ func TestEngineDMASerializesLaunches(t *testing.T) {
 	const n = 10
 	doneCount := 0
 	for i := 0; i < n; i++ {
-		e.MovePage(false, 32, func() { doneCount++ })
+		e.MovePageCall(false, 32, sim.CallFunc, func() { doneCount++ }, 0)
 	}
 	eng.Run()
 	if doneCount != n {
@@ -122,7 +122,7 @@ func TestEngineZeroCopyThroughputBeatsDMAUnderLoad(t *testing.T) {
 		cfg.Mode = mode
 		e := NewEngine(eng, link, cfg)
 		for i := 0; i < 256; i++ {
-			e.MovePage(false, 32, nil)
+			e.MovePageCall(false, 32, sim.CallFunc, nil, 0)
 		}
 		eng.Run()
 		return eng.Now()
@@ -139,7 +139,7 @@ func TestEngineOutstandingTracking(t *testing.T) {
 	link := pcie.NewLink(eng, 16)
 	e := NewEngine(eng, link, DefaultConfig())
 	for i := 0; i < 5; i++ {
-		e.MovePage(i%2 == 0, 32, nil)
+		e.MovePageCall(i%2 == 0, 32, sim.CallFunc, nil, 0)
 	}
 	if e.Outstanding() != 5 {
 		t.Fatalf("outstanding = %d, want 5", e.Outstanding())
@@ -158,10 +158,10 @@ func TestEngineOutstandingTracking(t *testing.T) {
 }
 
 // TestMovePoolConservation pins the free-listed move records' accounting:
-// every record acquired by MovePage is released back to the pool when its
-// transfer completes, so a drained engine has acquired == released and a
-// long sweep reuses a bounded record set instead of leaking per-move
-// allocations. (Under -tags gmtinvariants, Reset re-asserts the same.)
+// every record acquired by MovePageCall is released back to the pool
+// when its transfer completes, so a drained engine has acquired ==
+// released and a long sweep reuses a bounded record set instead of
+// leaking per-move allocations. (Under -tags gmtinvariants, Reset re-asserts the same.)
 func TestMovePoolConservation(t *testing.T) {
 	eng := sim.NewEngine()
 	link := pcie.NewLink(eng, 16)
@@ -175,7 +175,7 @@ func TestMovePoolConservation(t *testing.T) {
 		if i%3 == 0 {
 			fn = func() { done++ }
 		}
-		e.MovePage(i%2 == 0, 1+i%64, fn)
+		e.MovePageCall(i%2 == 0, 1+i%64, sim.CallFunc, fn, 0)
 	}
 	acq, rel := e.MoveRecords()
 	if acq != n {
@@ -196,7 +196,7 @@ func TestMovePoolConservation(t *testing.T) {
 	// size must not grow acquisition beyond reuse (acquired counts uses,
 	// not allocations — conservation is acquired == released at drain).
 	for i := 0; i < n; i++ {
-		e.MovePage(false, 8, nil)
+		e.MovePageCall(false, 8, sim.CallFunc, nil, 0)
 	}
 	eng.Run()
 	acq, rel = e.MoveRecords()
