@@ -96,8 +96,20 @@ func (k PredictorKind) String() string {
 	}
 }
 
-// Config parameterizes a Runtime.
+// Config parameterizes a Runtime: its Params plus the oracle's future.
 type Config struct {
+	Params
+
+	// Future is the exact upcoming access sequence, required by
+	// PolicyOracle (and ignored otherwise). It must match the stream
+	// the GPU will issue.
+	Future []tier.PageID
+}
+
+// Params is every Config field but Future, the one slice, so Params
+// values are comparable: two configs whose Canonical forms have equal
+// Params and equal futures simulate identically.
+type Params struct {
 	Policy PolicyKind
 
 	// Tier1Pages / Tier2Pages size the top two tiers in 64 KiB pages.
@@ -183,11 +195,6 @@ type Config struct {
 	// and the ablation confirms — that bypassing is better.
 	UpPathThroughTier2 bool
 
-	// Future is the exact upcoming access sequence, required by
-	// PolicyOracle (and ignored otherwise). It must match the stream
-	// the GPU will issue.
-	Future []tier.PageID
-
 	// FootprintPages, when positive, declares the workload's page-ID
 	// bound (max page ID + 1). The runtime presizes its dense page
 	// directory and the tier residency indices to it, so the
@@ -224,7 +231,7 @@ type Config struct {
 // override the tier sizes; see the workload package for experiment
 // scaling.
 func DefaultConfig() Config {
-	return Config{
+	return Config{Params: Params{
 		Policy:             PolicyReuse,
 		Tier1Pages:         1024,
 		Tier2Pages:         4096,
@@ -241,16 +248,21 @@ func DefaultConfig() Config {
 		Transfer:           xfer.DefaultConfig(),
 		SSD:                nvme.DefaultConfig(),
 		HostLanes:          16,
-	}
+	}}
 }
 
-// BaMEquivalent returns cfg with the fields a PolicyBaM run never reads
-// zeroed: Tier2Pages (BaM has no Tier-2) and Seed (BaM makes no
-// placement draws). BaM configs with equal BaMEquivalent simulate
-// identically, which is what lets exp reuse one BaM run across sweep
-// points that differ only in those fields.
-func BaMEquivalent(cfg Config) Config {
-	cfg.Tier2Pages, cfg.Seed = 0, 0
+// Canonical returns cfg with the fields its run never reads normalized,
+// so configs that simulate identically compare equal: under PolicyBaM,
+// Tier2Pages (BaM has no Tier-2) and Seed (BaM makes no placement
+// draws) are zeroed, and every SSDCount up to 1 becomes 1 (newStorage
+// builds one drive for each). Nothing else is normalized.
+func Canonical(cfg Config) Config {
+	if cfg.Policy == PolicyBaM {
+		cfg.Tier2Pages, cfg.Seed = 0, 0
+	}
+	if cfg.SSDCount < 1 {
+		cfg.SSDCount = 1
+	}
 	return cfg
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -85,18 +84,12 @@ func TestBaMNeverTouchesTier2(t *testing.T) {
 	}
 }
 
-// TestBaMEquivalentRunsIdentical pins what whole-run BaM reuse relies
-// on: a BaM config changed in one field keeps its clock, dispatched
-// event count and metrics whenever BaMEquivalent maps it to the
-// unchanged config's value. The candidate changes include fields BaM
-// reads, so a BaMEquivalent that also dropped one of them fails here.
-func TestBaMEquivalentRunsIdentical(t *testing.T) {
-	base := DefaultConfig()
-	base.Policy = PolicyBaM
-	base.Tier1Pages = 64
-	base.Tier2Pages = 128
-	base.FootprintPages = 256
-	base.Seed = 3
+// TestCanonicalRunsIdentical pins what exp's run keys rely on. A
+// config changed in one field that Canonical normalizes must keep its
+// clock, dispatched event count and metrics; a change to a field the
+// run reads must keep its own Canonical value. A Canonical that
+// normalizes too much fails the second half.
+func TestCanonicalRunsIdentical(t *testing.T) {
 	trace := warmTailTrace(64, 3000, 256)
 	type result struct {
 		now   sim.Time
@@ -109,32 +102,42 @@ func TestBaMEquivalentRunsIdentical(t *testing.T) {
 		runKernel(t, eng, rt, trace, 16)
 		return result{eng.Now(), eng.Steps(), rt.Snapshot()}
 	}
-	want := runOf(base)
 	for _, c := range []struct {
-		field string
-		// dropped fields must map to base's BaMEquivalent.
-		dropped bool
-		mutate  func(*Config)
+		field  string
+		policy PolicyKind
+		mutate func(*Config)
+		// normalized: Canonical maps the change back to the base value.
+		normalized bool
 	}{
-		{"Tier2Pages", true, func(c *Config) { c.Tier2Pages = 512 }},
-		{"Seed", true, func(c *Config) { c.Seed = 99 }},
-		{"Tier1Pages", false, func(c *Config) { c.Tier1Pages = 48 }},
-		{"PageSize", false, func(c *Config) { c.PageSize *= 2 }},
-		{"SSDCount", false, func(c *Config) { c.SSDCount = 2 }},
-		{"PrefetchDegree", false, func(c *Config) { c.PrefetchDegree = 2 }},
+		{"Tier2Pages", PolicyBaM, func(c *Config) { c.Tier2Pages = 512 }, true},
+		{"Seed", PolicyBaM, func(c *Config) { c.Seed = 99 }, true},
+		{"SSDCount 1", PolicyBaM, func(c *Config) { c.SSDCount = 1 }, true},
+		{"SSDCount 1", PolicyReuse, func(c *Config) { c.SSDCount = 1 }, true},
+		{"SSDCount 2", PolicyBaM, func(c *Config) { c.SSDCount = 2 }, false},
+		{"Tier1Pages", PolicyBaM, func(c *Config) { c.Tier1Pages = 48 }, false},
+		{"PageSize", PolicyBaM, func(c *Config) { c.PageSize *= 2 }, false},
+		{"PrefetchDegree", PolicyBaM, func(c *Config) { c.PrefetchDegree = 2 }, false},
+		{"Seed", PolicyRandom, func(c *Config) { c.Seed = 99 }, false},
+		{"Tier2Pages", PolicyReuse, func(c *Config) { c.Tier2Pages = 512 }, false},
 	} {
+		base := DefaultConfig()
+		base.Policy = c.policy
+		base.Tier1Pages = 64
+		base.Tier2Pages = 128
+		base.FootprintPages = 256
+		base.Seed = 3
 		cfg := base
 		c.mutate(&cfg)
-		same := reflect.DeepEqual(BaMEquivalent(cfg), BaMEquivalent(base))
-		if c.dropped && !same {
-			t.Errorf("%s: BaMEquivalent keeps a field BaM never reads", c.field)
-		}
-		if !same {
+		same := Canonical(cfg).Params == Canonical(base).Params
+		if same != c.normalized {
+			t.Errorf("%v %s: Canonical maps it to the base value: %v, want %v", c.policy, c.field, same, c.normalized)
 			continue
 		}
-		if got := runOf(cfg); got != want {
-			t.Errorf("%s: BaMEquivalent drops it, but the run changed:\nbase:    %+v\nchanged: %+v",
-				c.field, want, got)
+		if same {
+			if got, want := runOf(cfg), runOf(base); got != want {
+				t.Errorf("%v %s: Canonical normalizes it, but the run changed:\nbase:    %+v\nchanged: %+v",
+					c.policy, c.field, want, got)
+			}
 		}
 	}
 }

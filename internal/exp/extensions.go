@@ -7,30 +7,29 @@ import (
 	"github.com/gmtsim/gmt/internal/gpu"
 	"github.com/gmtsim/gmt/internal/sim"
 	"github.com/gmtsim/gmt/internal/stats"
-	"github.com/gmtsim/gmt/internal/tier"
 	"github.com/gmtsim/gmt/internal/workload"
 )
 
 // RunConfig simulates a workload under an explicit runtime
-// configuration as one kernel, memoized under key.
-func (s *Suite) RunConfig(key string, w workload.Workload, cfg core.Config) stats.Run {
-	return s.runConfig(key, w, cfg, false)
+// configuration as one kernel, memoized by its run key.
+func (s *Suite) RunConfig(w workload.Workload, cfg core.Config) stats.Run {
+	return s.runConfig(w, cfg, false)
 }
 
-// RunOracle simulates the offline Belady-style upper bound. The bound
-// idealizes orchestration as well as knowledge: placements happen in the
+// oracleConfig is the offline Belady-style upper bound's config; the
+// run's future is its own trace (simulate). The bound idealizes
+// orchestration as well as knowledge: placements happen in the
 // background (Belady's guarantee is about miss counts, so the bound
 // should not pay avoidable placement stalls).
-func (s *Suite) RunOracle(w workload.Workload) stats.Run {
+func (s *Suite) oracleConfig() core.Config {
 	cfg := s.config(core.PolicyOracle)
 	cfg.AsyncEviction = true
-	trace := s.Trace(w)
-	future := make([]tier.PageID, len(trace))
-	for i, a := range trace {
-		future[i] = a.Page
-	}
-	cfg.Future = future
-	return s.RunConfig("oracle", w, cfg)
+	return cfg
+}
+
+// RunOracle simulates the offline upper bound (oracleConfig).
+func (s *Suite) RunOracle(w workload.Workload) stats.Run {
+	return s.RunConfig(w, s.oracleConfig())
 }
 
 // OracleRow compares GMT-Reuse against the offline bound it
@@ -105,7 +104,6 @@ func RegressionWarmup(s *Suite) ([]WarmupRow, *stats.Table) {
 			cfg := s.config(core.PolicyReuse)
 			cfg.UnpipelinedRegression = unpipelined
 			cfg.HistorySample = interval
-			key := fmt.Sprintf("warmup/%v", unpipelined)
 			eng := sim.NewEngine()
 			rt := core.NewRuntime(eng, cfg)
 			g := gpuNew(s, eng, trace, rt)
@@ -114,7 +112,7 @@ func RegressionWarmup(s *Suite) ([]WarmupRow, *stats.Table) {
 			m := rt.Snapshot()
 			m.App = w.Name()
 			m.WallTime = eng.Now()
-			s.storeResult(w.Name()+"/"+key, m)
+			s.storeResult(w, cfg, m)
 			hist := rt.History()
 			third := len(hist) / 3
 			if third < 1 {
@@ -157,13 +155,11 @@ var Predictors = []core.PredictorKind{
 	core.PredictorMarkov, core.PredictorLastClass, core.PredictorStatic,
 }
 
-// predictorConfig is the shared builder for one predictor-ablation run;
-// the job planner (plan.go) and the driver below must agree on the memo
-// key and configuration.
-func (s *Suite) predictorConfig(pk core.PredictorKind) (key string, cfg core.Config) {
-	cfg = s.config(core.PolicyReuse)
+// predictorConfig is one predictor-ablation run's config.
+func (s *Suite) predictorConfig(pk core.PredictorKind) core.Config {
+	cfg := s.config(core.PolicyReuse)
 	cfg.Predictor = pk
-	return "reuse-pred-" + pk.String(), cfg
+	return cfg
 }
 
 // PredictorAblation tests §2.1.3's claim that "a simple 2-level history
@@ -180,8 +176,7 @@ func PredictorAblation(s *Suite) ([]PredictorRow, *stats.Table) {
 		r := PredictorRow{App: w.Name(), Speedup: map[string]float64{}, Accuracy: map[string]float64{}}
 		cells := []string{r.App}
 		for _, pk := range Predictors {
-			key, cfg := s.predictorConfig(pk)
-			run := s.RunConfig(key, w, cfg)
+			run := s.RunConfig(w, s.predictorConfig(pk))
 			r.Speedup[pk.String()] = run.SpeedupOver(bam)
 			r.Accuracy[pk.String()] = run.PredictionAccuracy()
 			cells = append(cells, fmt.Sprintf("%s (%s)",
@@ -206,19 +201,18 @@ type ExtensionRow struct {
 	PrefetchUseful  float64 // fraction of prefetches later demanded
 }
 
-// reuseAsyncConfig and reusePrefetchConfig are the shared builders for
-// the extension-study runs (same key/config contract as
-// predictorConfig).
-func (s *Suite) reuseAsyncConfig() (key string, cfg core.Config) {
-	cfg = s.config(core.PolicyReuse)
+// reuseAsyncConfig and reusePrefetchConfig are the extension-study
+// runs' configs.
+func (s *Suite) reuseAsyncConfig() core.Config {
+	cfg := s.config(core.PolicyReuse)
 	cfg.AsyncEviction = true
-	return "reuse-async", cfg
+	return cfg
 }
 
-func (s *Suite) reusePrefetchConfig() (key string, cfg core.Config) {
-	cfg = s.config(core.PolicyReuse)
+func (s *Suite) reusePrefetchConfig() core.Config {
+	cfg := s.config(core.PolicyReuse)
 	cfg.PrefetchDegree = 4
-	return "reuse-prefetch4", cfg
+	return cfg
 }
 
 // Extensions evaluates the paper's future-work directions.
@@ -228,10 +222,8 @@ func Extensions(s *Suite) ([]ExtensionRow, *stats.Table) {
 	var rows []ExtensionRow
 	for _, w := range s.Apps() {
 		base := s.Run(w, core.PolicyReuse)
-		asyncKey, async := s.reuseAsyncConfig()
-		ar := s.RunConfig(asyncKey, w, async)
-		pfKey, pf := s.reusePrefetchConfig()
-		pr := s.RunConfig(pfKey, w, pf)
+		ar := s.RunConfig(w, s.reuseAsyncConfig())
+		pr := s.RunConfig(w, s.reusePrefetchConfig())
 		r := ExtensionRow{
 			App:             w.Name(),
 			AsyncSpeedup:    ar.SpeedupOver(base),

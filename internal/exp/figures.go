@@ -55,7 +55,7 @@ func Table2(s *Suite) ([]Table2Row, *stats.Table) {
 		"Application", "Reuse % of a Page", "Total I/O (sim)", "Accesses")
 	var rows []Table2Row
 	for _, w := range s.Apps() {
-		a := workload.Analyze(w.Name(), s.Trace(w), s.Scale, 64*1024, 0)
+		a := s.characteristics(w)
 		r := Table2Row{
 			App:          w.Name(),
 			ReusePct:     a.ReusePct(),
@@ -86,7 +86,7 @@ func Figure7(s *Suite) ([]Figure7Row, *stats.Table) {
 		"Application", "Reuse %", "Pairs T1/T2/T3", "Evictions T1/T2/T3")
 	var rows []Figure7Row
 	for _, w := range s.Apps() {
-		a := workload.Analyze(w.Name(), s.Trace(w), s.Scale, 64*1024, 0)
+		a := s.characteristics(w)
 		r := Figure7Row{App: w.Name(), ReusePct: a.ReusePct()}
 		r.PairShort, r.PairMedium, r.PairLong = a.PairFractions()
 		r.EvictShort, r.EvictMedium, r.EvictLong = a.EvictFractions()
@@ -334,7 +334,7 @@ var figure12Ratios = []int{2, 4, 8}
 // ratio sweep varies only host-memory capacity, so every sub-suite
 // adopts the parent's datasets: traces are shared across ratios, and
 // each app's BaM run, which never reads Tier-2, is simulated once for
-// all three (core.BaMEquivalent).
+// all three (core.Canonical).
 func (s *Suite) figure12Suites() map[int]*Suite {
 	base := s.Scale
 	suites := make(map[int]*Suite)

@@ -31,16 +31,15 @@ type KVServeRow struct {
 	SpeedupOverClock float64
 }
 
-// kvConfig is the shared builder for one serving-policy run; the job
-// planner (plan.go) and KVServe below must agree on the memo key and
-// configuration. The base policy is TierOrder — every Tier-1 victim
-// lands in Tier-2, so the replacement policy under study sees the full
-// eviction stream rather than a placement predictor's pre-filtered one.
-func (s *Suite) kvConfig(p tier.StorePolicy) (key string, cfg core.Config) {
-	cfg = s.config(core.PolicyTierOrder)
+// kvConfig is one serving-policy run's config. The base policy is
+// TierOrder — every Tier-1 victim lands in Tier-2, so the replacement
+// policy under study sees the full eviction stream rather than a
+// placement predictor's pre-filtered one.
+func (s *Suite) kvConfig(p tier.StorePolicy) core.Config {
+	cfg := s.config(core.PolicyTierOrder)
 	cfg.Tier2Policy = p
 	cfg.TrackTier2Reuse = true
-	return "kv/" + string(p), cfg
+	return cfg
 }
 
 // KVServe compares Tier-2 replacement policies under the open-loop
@@ -51,12 +50,10 @@ func KVServe(s *Suite) ([]KVServeRow, *stats.Table) {
 	w := s.KVApp()
 	t := stats.NewTable("KV-cache serving: Tier-2 replacement policy study (open-loop arrivals)",
 		"Policy", "T2 hit rate", "reuse p50", "reuse p99", "samples", "SSD reads", "speedup vs clock")
-	baseKey, baseCfg := s.kvConfig(tier.StoreClock)
-	base := s.runConfig(baseKey, w, baseCfg, true)
+	base := s.runConfig(w, s.kvConfig(tier.StoreClock), true)
 	var rows []KVServeRow
 	for _, p := range KVPolicies {
-		key, cfg := s.kvConfig(p)
-		m := s.runConfig(key, w, cfg, true)
+		m := s.runConfig(w, s.kvConfig(p), true)
 		r := KVServeRow{
 			Policy:           string(p),
 			Tier2HitRate:     m.Tier2HitRate(),

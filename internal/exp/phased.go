@@ -2,8 +2,8 @@ package exp
 
 import (
 	"fmt"
-	"sync"
 
+	"github.com/gmtsim/gmt/internal/baseline"
 	"github.com/gmtsim/gmt/internal/core"
 	"github.com/gmtsim/gmt/internal/gpu"
 	"github.com/gmtsim/gmt/internal/sim"
@@ -18,58 +18,6 @@ import (
 // (trace, Tier1Pages), never on worker count.
 const minPrefix = 64
 
-// shareCache is one root suite's cross-suite sharing domain: whole-run
-// BaM results, valid across Tier-2 sweeps because BaM never consults
-// Tier-2 or the RNG (core.BaMEquivalent). Derived sub-suites point at
-// their root's cache, so fig12's three ratio suites — or fig11's
-// halved-tier suite and the root — share entries. It singleflights
-// like Suite.memoRun.
-type shareCache struct {
-	mu          sync.Mutex
-	runs        map[string]stats.Run
-	runInflight map[string]chan struct{}
-}
-
-func newShareCache() *shareCache {
-	return &shareCache{
-		runs:        make(map[string]stats.Run),
-		runInflight: make(map[string]chan struct{}),
-	}
-}
-
-func (c *shareCache) run(key string, compute func() stats.Run) stats.Run {
-	for {
-		c.mu.Lock()
-		if r, ok := c.runs[key]; ok {
-			c.mu.Unlock()
-			return r
-		}
-		if ch, ok := c.runInflight[key]; ok {
-			c.mu.Unlock()
-			<-ch
-			continue
-		}
-		ch := make(chan struct{})
-		c.runInflight[key] = ch
-		c.mu.Unlock()
-
-		var r stats.Run
-		func() {
-			defer func() {
-				c.mu.Lock()
-				delete(c.runInflight, key)
-				c.mu.Unlock()
-				close(ch)
-			}()
-			r = compute()
-			c.mu.Lock()
-			c.runs[key] = r
-			c.mu.Unlock()
-		}()
-		return r
-	}
-}
-
 // dataSuite returns the suite whose workloads and traces s consumes:
 // itself, or the parent it adopted datasets from.
 func (s *Suite) dataSuite() *Suite {
@@ -79,12 +27,47 @@ func (s *Suite) dataSuite() *Suite {
 	return s
 }
 
-// dataKey identifies the trace content a run of w consumed — the
-// workload name plus the scale its generator derived from. Share-cache
-// keys embed it so entries never collide across genuinely different
-// datasets (fig13's doubled suite vs the root, say).
-func (s *Suite) dataKey(w workload.Workload) string {
-	return fmt.Sprintf("%s@%+v", w.Name(), s.dataSuite().Scale)
+// dataKey identifies the trace a run of w consumes: the workload name
+// plus the scale its generator derived from, so runs on genuinely
+// different datasets (fig13's doubled suite vs the root, say) never
+// share a key.
+type dataKey struct {
+	app   string
+	scale workload.Scale
+}
+
+func (s *Suite) dataKey(w workload.Workload) dataKey {
+	return dataKey{w.Name(), s.dataSuite().Scale}
+}
+
+// runKey identifies one simulation by its inputs: the trace, the GPU,
+// and the simulator's config, which is a core run's canonical Params
+// and split decision or an HMM run's config (zero for core runs). An
+// oracle's future is always its own trace (simulate derives it), so the
+// policy and the trace already record it.
+type runKey struct {
+	data  dataKey
+	gpu   gpu.Config
+	cfg   core.Params
+	split bool
+	hmm   baseline.HMMConfig
+}
+
+// key builds every run's memo key, for the drivers and the planner
+// alike: a core run of w under cfg, split as simulate splits it, or,
+// when hmm is non-nil, an HMM run under *hmm.
+func (s *Suite) key(w workload.Workload, cfg core.Config, split bool, hmm *baseline.HMMConfig) runKey {
+	k := runKey{data: s.dataKey(w), gpu: s.GPU}
+	if hmm != nil {
+		k.hmm = *hmm
+		return k
+	}
+	if cfg.RNG != nil || cfg.Future != nil {
+		panic("exp: a run draws from its Seed, and an oracle's future is its own trace")
+	}
+	k.cfg = core.Canonical(cfg).Params
+	k.split = split && phasedEligible(cfg)
+	return k
 }
 
 // adoptData pins sub's datasets to parent's: the sensitivity sweeps
@@ -100,19 +83,18 @@ func (sub *Suite) adoptData(parent *Suite) {
 
 // phasedEligible reports whether a run under cfg splits at its
 // eviction-free prefix when its caller asks for a split: the three GMT
-// policies the sweeps compare, without the oracle's future, prefetch, a
-// caller-supplied RNG or history sampling. BaM never splits; its runs
-// are reused whole across sub-suites instead. Which runs split shows in
-// the output (a kernel boundary changes warp timing), so this rule is
-// pinned by the quick goldens.
+// policies the sweeps compare, without prefetch or history sampling.
+// BaM never splits, so one BaM run serves every sub-suite that agrees
+// on its canonical config. Which runs split shows in the output (a
+// kernel boundary changes warp timing), so this rule is pinned by the
+// quick goldens.
 func phasedEligible(cfg core.Config) bool {
 	switch cfg.Policy {
 	case core.PolicyTierOrder, core.PolicyRandom, core.PolicyReuse:
 	default:
 		return false
 	}
-	return cfg.RNG == nil && cfg.PrefetchDegree == 0 &&
-		cfg.HistorySample == 0 && len(cfg.Future) == 0
+	return cfg.PrefetchDegree == 0 && cfg.HistorySample == 0
 }
 
 // evictionFreePrefix reports the longest K such that simulating
@@ -176,14 +158,21 @@ func (s *Suite) releaseUnit(u *runUnit) {
 }
 
 // simulate runs w's trace under cfg on a pooled unit. The trace runs as
-// one kernel or, when split is set and the run is phasedEligible, as
-// two kernels on the same runtime split at the eviction-free prefix:
-// the second kernel launches once the first has drained. A prefix
-// shorter than minPrefix, or covering the whole trace, does not split.
+// one kernel or, when split is set (runKey's split decision), as two
+// kernels on the same runtime split at the eviction-free prefix: the
+// second kernel launches once the first has drained. A prefix shorter
+// than minPrefix, or covering the whole trace, does not split. An
+// oracle's future is the trace itself.
 func (s *Suite) simulate(w workload.Workload, cfg core.Config, split bool) stats.Run {
 	tr := s.Trace(w)
+	if cfg.Policy == core.PolicyOracle {
+		cfg.Future = make([]tier.PageID, len(tr))
+		for i, a := range tr {
+			cfg.Future[i] = a.Page
+		}
+	}
 	kernels := [][]gpu.Access{tr}
-	if split && phasedEligible(cfg) {
+	if split {
 		if k := evictionFreePrefix(tr, cfg.Tier1Pages); k >= minPrefix && k < len(tr) {
 			kernels = [][]gpu.Access{tr[:k], tr[k:]}
 		}
@@ -209,13 +198,15 @@ func (s *Suite) simulate(w workload.Workload, cfg core.Config, split bool) stats
 	return m
 }
 
-// runConfig simulates w under an explicit configuration, memoized under
-// key; split is simulate's.
-func (s *Suite) runConfig(key string, w workload.Workload, cfg core.Config, split bool) stats.Run {
-	if cfg.FootprintPages == 0 {
-		cfg.FootprintPages = int(w.Pages())
-	}
-	return s.memoRun(w.Name()+"/"+key, func() stats.Run {
-		return s.simulate(w, cfg, split)
+// runConfig simulates w under cfg, memoized by its run key; split asks
+// for the phased split. A zero FootprintPages is filled from w inside
+// the computation, so a memo hit never builds w's dataset.
+func (s *Suite) runConfig(w workload.Workload, cfg core.Config, split bool) stats.Run {
+	k := s.key(w, cfg, split, nil)
+	return s.memoized(k, func() stats.Run {
+		if cfg.FootprintPages == 0 {
+			cfg.FootprintPages = int(w.Pages())
+		}
+		return s.simulate(w, cfg, k.split)
 	})
 }

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"strconv"
 
 	"github.com/gmtsim/gmt/internal/core"
 	"github.com/gmtsim/gmt/internal/workload"
@@ -21,7 +22,10 @@ var ExperimentNames = []string{
 // Running a job only fills the suite memo; rendering afterwards reads
 // the same memo, so output is identical whether or not the job ran.
 type Job struct {
-	Key string // unique across the plan; used for dedup and reporting
+	// Key is unique across the plan and names the job in reports:
+	// "<suite label>|<class>|<detail>", the class one of trace, run,
+	// cfg, oracle and hmm.
+	Key string
 	Run func()
 }
 
@@ -38,44 +42,41 @@ type Phase struct {
 	More func() []Job
 }
 
-// Plan walks the requested experiments and collects the deduplicated
-// set of jobs they will need, grouped into phases: trace generation
-// first (the Kronecker/CSR graph build rides along via the lazy
-// GraphSet), then all statically known simulations, then dependent
-// simulations. The plan is an optimization only — any job the planner
-// misses is computed lazily (and sequentially) when the experiment
-// renders, so results never depend on planner completeness.
+// Plan walks the requested experiments and collects the jobs they will
+// need, grouped into phases: trace generation first (the Kronecker/CSR
+// graph build rides along via the lazily built GraphSet), then all
+// statically known simulations, then dependent simulations. A
+// simulation is planned once per run key, however many experiments or
+// sub-suites read it, and only if a figure renders it. The plan is an
+// optimization only — any job the planner misses is computed lazily
+// (and sequentially) when the experiment renders, so results never
+// depend on planner completeness.
 func Plan(s *Suite, experiments []string) []Phase {
-	pl := &planner{seen: map[string]bool{}}
+	pl := &planner{seen: map[runKey]bool{}, traced: map[string]bool{}}
 	for _, e := range experiments {
 		pl.addExperiment(s, e)
 	}
 	phases := []Phase{{Name: "traces", Jobs: pl.traces}, {Name: "simulate", Jobs: pl.sims}}
 	if len(pl.more) > 0 {
-		more := pl.more
 		phases = append(phases, Phase{Name: "dependent", More: func() []Job {
-			seen := map[string]bool{}
-			var jobs []Job
-			for _, f := range more {
-				for _, j := range f() {
-					if seen[j.Key] {
-						continue
-					}
-					seen[j.Key] = true
-					jobs = append(jobs, j)
-				}
+			dep := &planner{seen: pl.seen, traced: pl.traced}
+			for _, f := range pl.more {
+				f(dep)
 			}
-			return jobs
+			return dep.sims
 		}})
 	}
 	return phases
 }
 
 type planner struct {
-	seen   map[string]bool
+	seen   map[runKey]bool // simulations planned, by run key
+	traced map[string]bool // trace jobs planned, by job key
 	traces []Job
 	sims   []Job
-	more   []func() []Job
+	// more plans the dependent phase's simulations into a planner
+	// that shares seen and traced.
+	more []func(*planner)
 }
 
 // allPolicies is BaM plus the three GMT policies, the sweep most
@@ -105,9 +106,16 @@ func (pl *planner) addExperiment(s *Suite, name string) {
 	case "fig9":
 		pl.addPolicySweep(s, appNames(s), []core.PolicyKind{core.PolicyReuse})
 	case "fig11":
+		// Figure11 reads only the graph apps from the graph sub-suite.
 		ng, g := s.figure11Suites()
 		pl.addPolicySweep(ng, appNames(ng), allPolicies())
-		pl.addPolicySweep(g, appNames(g), allPolicies())
+		var graphs []string
+		for _, n := range appNames(g) {
+			if isGraphApp(n) {
+				graphs = append(graphs, n)
+			}
+		}
+		pl.addPolicySweep(g, graphs, allPolicies())
 	case "fig12":
 		suites := s.figure12Suites()
 		for _, ratio := range figure12Ratios {
@@ -124,66 +132,47 @@ func (pl *planner) addExperiment(s *Suite, name string) {
 		for _, n := range appNames(s) {
 			pl.addHMM(s, n, -1)
 		}
-		pl.more = append(pl.more, func() []Job {
+		pl.more = append(pl.more, func(dep *planner) {
 			// By the dependent phase, the Reuse runs are memoized, so
 			// reading the hit rates costs nothing.
-			var jobs []Job
 			for _, w := range s.Apps() {
-				w := w
-				rate := s.Run(w, core.PolicyReuse).Tier2HitRate()
-				jobs = append(jobs, hmmJob(s, w, rate))
+				dep.addHMM(s, w.Name(), s.Run(w, core.PolicyReuse).Tier2HitRate())
 			}
-			return jobs
 		})
 	case "oracle":
 		pl.addPolicySweep(s, appNames(s),
 			[]core.PolicyKind{core.PolicyBaM, core.PolicyReuse})
 		for _, n := range appNames(s) {
-			n := n
-			key := s.label + "|oracle|" + n
-			if pl.seen[key] {
-				continue
-			}
-			pl.seen[key] = true
-			w := appByName(s, n)
-			pl.sims = append(pl.sims, Job{Key: key, Run: func() { s.RunOracle(w) }})
+			pl.addRun(s, n, "oracle", n, s.oracleConfig(), false)
 		}
 	case "ext":
 		pl.addPolicySweep(s, appNames(s), []core.PolicyKind{core.PolicyReuse})
 		for _, n := range appNames(s) {
-			asyncKey, asyncCfg := s.reuseAsyncConfig()
-			pl.addConfig(s, n, asyncKey, asyncCfg, false)
-			pfKey, pfCfg := s.reusePrefetchConfig()
-			pl.addConfig(s, n, pfKey, pfCfg, false)
+			pl.addConfig(s, n, s.reuseAsyncConfig(), false)
+			pl.addConfig(s, n, s.reusePrefetchConfig(), false)
 		}
 	case "ssd":
 		pl.addTraces(s, SensitivityApps)
 		for _, app := range SensitivityApps {
 			for _, g := range SSDGens {
-				for _, p := range []core.PolicyKind{core.PolicyBaM, core.PolicyReuse} {
-					key, cfg := s.ssdGenConfig(g, p)
-					pl.addConfig(s, app, key, cfg, false)
-				}
+				pl.addConfig(s, app, s.ssdGenConfig(g, core.PolicyBaM), false)
+				pl.addConfig(s, app, s.ssdGenConfig(g, core.PolicyReuse), false)
 			}
 			for _, c := range SSDCounts {
-				for _, p := range []core.PolicyKind{core.PolicyBaM, core.PolicyReuse} {
-					key, cfg := s.ssdCountConfig(c, p)
-					pl.addConfig(s, app, key, cfg, false)
-				}
+				pl.addConfig(s, app, s.ssdCountConfig(c, core.PolicyBaM), false)
+				pl.addConfig(s, app, s.ssdCountConfig(c, core.PolicyReuse), false)
 			}
 		}
 	case "predictors":
 		pl.addPolicySweep(s, appNames(s), []core.PolicyKind{core.PolicyBaM})
 		for _, n := range appNames(s) {
 			for _, pk := range Predictors {
-				key, cfg := s.predictorConfig(pk)
-				pl.addConfig(s, n, key, cfg, false)
+				pl.addConfig(s, n, s.predictorConfig(pk), false)
 			}
 		}
 	case "kvserve":
 		for _, p := range KVPolicies {
-			key, cfg := s.kvConfig(p)
-			pl.addConfig(s, workload.KVServeName, key, cfg, true)
+			pl.addConfig(s, workload.KVServeName, s.kvConfig(p), true)
 		}
 	case "warmup":
 		// The warmup study's pipelined/unpipelined runs need the
@@ -218,57 +207,56 @@ func (pl *planner) addTraces(s *Suite, names []string) {
 	}
 }
 
+// addTrace queues name's trace generation on the suite that owns the
+// dataset, so sub-suites that adopted the root's datasets plan nothing
+// of their own.
 func (pl *planner) addTrace(s *Suite, name string) {
-	key := s.label + "|trace|" + name
-	if pl.seen[key] {
+	d := s.dataSuite()
+	key := d.label + "|trace|" + name
+	if pl.traced[key] {
 		return
 	}
-	pl.seen[key] = true
-	w := appByName(s, name)
-	pl.traces = append(pl.traces, Job{Key: key, Run: func() { s.Trace(w) }})
+	pl.traced[key] = true
+	w := appByName(d, name)
+	pl.traces = append(pl.traces, Job{Key: key, Run: func() { d.Trace(w) }})
 }
 
 func (pl *planner) addPolicySweep(s *Suite, names []string, policies []core.PolicyKind) {
 	pl.addTraces(s, names)
 	for _, n := range names {
 		for _, p := range policies {
-			p := p
-			key := s.label + "|run|" + n + "/" + p.String()
-			if pl.seen[key] {
-				continue
-			}
-			pl.seen[key] = true
-			w := appByName(s, n)
-			pl.sims = append(pl.sims, Job{Key: key, Run: func() { s.Run(w, p) }})
+			pl.addRun(s, n, "run", n+"/"+p.String(), s.config(p), s.phased)
 		}
 	}
 }
 
-// addConfig queues one runConfig job; split is runConfig's.
-func (pl *planner) addConfig(s *Suite, name, cfgKey string, cfg core.Config, split bool) {
-	pl.addTrace(s, name)
-	key := s.label + "|cfg|" + name + "/" + cfgKey
-	if pl.seen[key] {
-		return
-	}
-	pl.seen[key] = true
-	w := appByName(s, name)
-	pl.sims = append(pl.sims, Job{Key: key, Run: func() { s.runConfig(cfgKey, w, cfg, split) }})
+// addConfig queues one explicit-config run of app; split is runConfig's.
+func (pl *planner) addConfig(s *Suite, app string, cfg core.Config, split bool) {
+	pl.addTrace(s, app)
+	pl.addRun(s, app, "cfg", fmt.Sprintf("%s/%d", app, len(pl.sims)), cfg, split)
 }
 
-func (pl *planner) addHMM(s *Suite, name string, rate float64) {
-	pl.addTrace(s, name)
-	j := hmmJob(s, appByName(s, name), rate)
-	if pl.seen[j.Key] {
-		return
-	}
-	pl.seen[j.Key] = true
-	pl.sims = append(pl.sims, j)
+// addRun queues runConfig(app, cfg, split).
+func (pl *planner) addRun(s *Suite, app, class, detail string, cfg core.Config, split bool) {
+	w := appByName(s, app)
+	pl.add(s.key(w, cfg, split, nil), s.label+"|"+class+"|"+detail, func() { s.runConfig(w, cfg, split) })
 }
 
-func hmmJob(s *Suite, w workload.Workload, rate float64) Job {
-	return Job{
-		Key: fmt.Sprintf("%s|hmm|%s/%.3f", s.label, w.Name(), rate),
-		Run: func() { s.RunHMM(w, rate) },
+// addHMM queues RunHMM(app, rate).
+func (pl *planner) addHMM(s *Suite, app string, rate float64) {
+	pl.addTrace(s, app)
+	w := appByName(s, app)
+	cfg := s.hmmConfig(rate)
+	pl.add(s.key(w, core.Config{}, false, &cfg),
+		s.label+"|hmm|"+app+"/"+strconv.FormatFloat(rate, 'g', -1, 64), func() { s.RunHMM(w, rate) })
+}
+
+// add queues the simulation run under job key key unless a job with
+// its run key k is already planned.
+func (pl *planner) add(k runKey, key string, run func()) {
+	if pl.seen[k] {
+		return
 	}
+	pl.seen[k] = true
+	pl.sims = append(pl.sims, Job{Key: key, Run: run})
 }

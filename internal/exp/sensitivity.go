@@ -40,21 +40,15 @@ type SSDRow struct {
 	Speedup float64
 }
 
-// ssdGenConfig is the shared builder for one storage-generation run;
-// the job planner (plan.go) and the sweep below must agree on the memo
-// key and configuration.
-func (s *Suite) ssdGenConfig(g SSDGen, p core.PolicyKind) (key string, cfg core.Config) {
-	cfg = s.config(p)
+// ssdGenConfig is one storage-generation run's config.
+func (s *Suite) ssdGenConfig(g SSDGen, p core.PolicyKind) core.Config {
+	cfg := s.config(p)
 	cfg.SSD.MediaReadBps = int64(float64(cfg.SSD.MediaReadBps) * g.BWMult)
 	cfg.SSD.MediaWriteBps = int64(float64(cfg.SSD.MediaWriteBps) * g.BWMult)
 	cfg.SSD.ReadLatency = sim.Time(float64(cfg.SSD.ReadLatency) * g.LatMult)
 	cfg.SSD.WriteLatency = sim.Time(float64(cfg.SSD.WriteLatency) * g.LatMult)
 	cfg.SSD.Lanes = g.Lanes
-	key = "reuse/" + g.Name
-	if p == core.PolicyBaM {
-		key = "bam/" + g.Name
-	}
-	return key, cfg
+	return cfg
 }
 
 // SSDSensitivity sweeps storage generations.
@@ -66,10 +60,8 @@ func SSDSensitivity(s *Suite) ([]SSDRow, *stats.Table) {
 		w := appByName(s, app)
 		cells := []string{app}
 		for _, g := range SSDGens {
-			bamKey, bamCfg := s.ssdGenConfig(g, core.PolicyBaM)
-			reuseKey, reuseCfg := s.ssdGenConfig(g, core.PolicyReuse)
-			bam := s.RunConfig(bamKey, w, bamCfg)
-			reuse := s.RunConfig(reuseKey, w, reuseCfg)
+			bam := s.RunConfig(w, s.ssdGenConfig(g, core.PolicyBaM))
+			reuse := s.RunConfig(w, s.ssdGenConfig(g, core.PolicyReuse))
 			sp := reuse.SpeedupOver(bam)
 			rows = append(rows, SSDRow{App: app, Gen: g.Name, Speedup: sp})
 			cells = append(cells, stats.X(sp))
@@ -99,16 +91,11 @@ type SSDCountRow struct {
 // BaM-style array.
 var SSDCounts = []int{1, 2, 4}
 
-// ssdCountConfig is the shared builder for one drive-array run (same
-// key/config contract as ssdGenConfig).
-func (s *Suite) ssdCountConfig(n int, p core.PolicyKind) (key string, cfg core.Config) {
-	cfg = s.config(p)
+// ssdCountConfig is one drive-array run's config.
+func (s *Suite) ssdCountConfig(n int, p core.PolicyKind) core.Config {
+	cfg := s.config(p)
 	cfg.SSDCount = n
-	key = fmt.Sprintf("reuse/x%d", n)
-	if p == core.PolicyBaM {
-		key = fmt.Sprintf("bam/x%d", n)
-	}
-	return key, cfg
+	return cfg
 }
 
 // SSDCountSweep measures how striped storage bandwidth (BaM's scaling
@@ -121,10 +108,8 @@ func SSDCountSweep(s *Suite) ([]SSDCountRow, *stats.Table) {
 		w := appByName(s, app)
 		cells := []string{app}
 		for _, n := range SSDCounts {
-			bamKey, bamCfg := s.ssdCountConfig(n, core.PolicyBaM)
-			reuseKey, reuseCfg := s.ssdCountConfig(n, core.PolicyReuse)
-			bam := s.RunConfig(bamKey, w, bamCfg)
-			reuse := s.RunConfig(reuseKey, w, reuseCfg)
+			bam := s.RunConfig(w, s.ssdCountConfig(n, core.PolicyBaM))
+			reuse := s.RunConfig(w, s.ssdCountConfig(n, core.PolicyReuse))
 			sp := reuse.SpeedupOver(bam)
 			rows = append(rows, SSDCountRow{App: app, Drives: n, Speedup: sp})
 			cells = append(cells, stats.X(sp))

@@ -5,14 +5,15 @@
 //
 // A Suite is safe for concurrent use: the parallel prewarmer (pool.go)
 // runs many simulations at once, each on its own private sim.Engine, and
-// commits results into the memo under the suite lock. The simulator
-// packages themselves stay single-goroutine — concurrency lives entirely
-// at this orchestration layer (see HACKING.md).
+// commits results into singleflight memos. The simulator packages
+// themselves stay single-goroutine — concurrency lives entirely at this
+// orchestration layer (see HACKING.md).
 package exp
 
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"github.com/gmtsim/gmt/internal/baseline"
 	"github.com/gmtsim/gmt/internal/core"
@@ -27,13 +28,14 @@ var Policies = []core.PolicyKind{
 	core.PolicyTierOrder, core.PolicyRandom, core.PolicyReuse,
 }
 
-// Suite caches workloads, traces, and simulation results for one scale,
-// so figures sharing runs (8, 9, 10, 14) pay for each simulation once.
+// Suite caches workloads, traces, trace analyses and simulation results
+// for one scale, so figures sharing runs (8, 9, 10, 14) pay for each
+// simulation once.
 //
-// Memo keys include a fingerprint of the knobs a result depends on
-// (Seed, GPU, Scale): mutating Seed or GPU between runs transparently
-// computes fresh results instead of returning stale ones, and restoring
-// the old values finds the old results again.
+// A result is keyed by the run's inputs (runKey), Seed and GPU among
+// them: mutating Seed or GPU between runs transparently computes fresh
+// results instead of returning stale ones, and restoring the old values
+// finds the old results again.
 type Suite struct {
 	Scale workload.Scale
 	GPU   gpu.Config
@@ -42,11 +44,9 @@ type Suite struct {
 	// phased marks a sensitivity sub-suite whose simulations split at
 	// the eviction-free warm-up prefix (simulate). data, when non-nil,
 	// is the suite whose workloads and trace memo this suite borrows
-	// (the sweep varies the machine, not the datasets); share holds the
-	// root's cross-suite BaM results (phased.go).
+	// (the sweep varies the machine, not the datasets).
 	phased bool
 	data   *Suite
-	share  *shareCache
 
 	label string // distinguishes derived sub-suites in planner job keys
 	apps  []workload.Workload
@@ -60,31 +60,29 @@ type Suite struct {
 	unitMu sync.Mutex
 	units  []*runUnit
 
-	mu            sync.Mutex
-	traces        map[string][]gpu.Access
-	traceInflight map[string]chan struct{}
-	results       map[string]stats.Run
-	runInflight   map[string]chan struct{}
-	subs          map[string]*Suite
-	subOrder      []string
-	sims          int64 // simulations actually executed
-	hits          int64 // memoized results served
+	// runs is the root suite's run memo, shared by its derived
+	// sub-suites, so a run one of them computed is a hit for all.
+	// traces and analyses are per suite, by workload name.
+	runs       *memo[runKey, stats.Run]
+	traces     memo[string, []gpu.Access]
+	analyses   memo[string, workload.Characteristics]
+	sims, hits atomic.Int64 // this suite's simulations executed and memo hits served
+
+	mu       sync.Mutex // guards kvApp, subs and subOrder
+	subs     map[string]*Suite
+	subOrder []string
 }
 
 // NewSuite builds the nine-application suite at the given scale.
 func NewSuite(scale workload.Scale) *Suite {
 	return &Suite{
-		Scale:         scale,
-		GPU:           gpu.DefaultConfig(),
-		Seed:          1,
-		label:         "root",
-		share:         newShareCache(),
-		apps:          workload.All(scale),
-		traces:        make(map[string][]gpu.Access),
-		traceInflight: make(map[string]chan struct{}),
-		results:       make(map[string]stats.Run),
-		runInflight:   make(map[string]chan struct{}),
-		subs:          make(map[string]*Suite),
+		Scale: scale,
+		GPU:   gpu.DefaultConfig(),
+		Seed:  1,
+		label: "root",
+		apps:  workload.All(scale),
+		runs:  &memo[runKey, stats.Run]{},
+		subs:  make(map[string]*Suite),
 	}
 }
 
@@ -98,7 +96,8 @@ func NewRegularSuite(scale workload.Scale) *Suite {
 // WithSeed returns a fresh suite at s's scale running under seed whose
 // datasets are s's: it adopts s's workloads and trace memo (adoptData),
 // so suites for many seeds at one scale build each graph and trace once.
-// Results stay per suite; they depend on the seed.
+// The new suite has a run memo of its own, so dropping it frees its
+// results.
 func (s *Suite) WithSeed(seed int64) *Suite {
 	sub := NewSuite(s.Scale)
 	sub.Seed = seed
@@ -127,11 +126,10 @@ func (s *Suite) KVApp() workload.Workload {
 	return s.kvApp
 }
 
-// Fingerprint identifies the mutable knobs results depend on. It is
-// part of every memo key, so stale results can never be returned after
-// a caller changes Seed or GPU (they are simply not found). The serving
-// layer (internal/serve) reuses it as the content address of cached
-// responses, so a daemon cache hit is exactly a memo hit one level up.
+// Fingerprint identifies the mutable knobs results depend on (Seed,
+// GPU, Scale). The serving layer (internal/serve) uses it as the
+// content address of cached responses: equal fingerprints give equal
+// run keys, so a daemon cache hit is exactly a memo hit one level up.
 func (s *Suite) Fingerprint() string {
 	return fmt.Sprintf("@seed=%d,gpu=%+v,scale=%+v", s.Seed, s.GPU, s.Scale)
 }
@@ -141,114 +139,113 @@ func (s *Suite) Fingerprint() string {
 // finishes (trace generation is the second-largest cost after the
 // simulations themselves).
 func (s *Suite) Trace(w workload.Workload) []gpu.Access {
-	if s.data != nil {
-		return s.data.Trace(w)
-	}
-	name := w.Name()
-	for {
-		s.mu.Lock()
-		if tr, ok := s.traces[name]; ok {
-			s.mu.Unlock()
-			return tr
-		}
-		if ch, ok := s.traceInflight[name]; ok {
-			s.mu.Unlock()
-			<-ch
-			continue
-		}
-		ch := make(chan struct{})
-		s.traceInflight[name] = ch
-		s.mu.Unlock()
+	tr, _ := s.dataSuite().traces.get(w.Name(), w.Trace)
+	return tr
+}
 
-		var tr []gpu.Access
-		func() {
-			defer func() {
-				s.mu.Lock()
-				delete(s.traceInflight, name)
-				s.mu.Unlock()
-				close(ch)
-			}()
-			tr = w.Trace()
-			s.mu.Lock()
-			s.traces[name] = tr
-			s.mu.Unlock()
-		}()
-		return tr
+// characteristics returns w's trace characteristics against the suite's
+// tiers, the numbers Table 2 and Figure 7 report, analyzing each trace
+// once per suite.
+func (s *Suite) characteristics(w workload.Workload) workload.Characteristics {
+	c, _ := s.analyses.get(w.Name(), func() workload.Characteristics {
+		return workload.Analyze(w.Name(), s.Trace(w), s.Scale, 64*1024, 0).Characteristics
+	})
+	return c
+}
+
+// memo is a singleflight cache: the first caller of a key computes its
+// value while concurrent callers of that key wait for it, so each key
+// is computed once. If the computation panics, the waiters retry (and
+// typically panic the same way).
+type memo[K comparable, V any] struct {
+	mu       sync.Mutex
+	vals     map[K]V
+	inflight map[K]chan struct{}
+}
+
+// get returns k's value, computing it on a miss; computed reports
+// whether this call computed it.
+func (m *memo[K, V]) get(k K, compute func() V) (V, bool) {
+	for {
+		m.mu.Lock()
+		if v, ok := m.vals[k]; ok {
+			m.mu.Unlock()
+			return v, false
+		}
+		ch, wait := m.inflight[k]
+		if !wait {
+			if m.inflight == nil {
+				m.inflight = make(map[K]chan struct{})
+			}
+			ch = make(chan struct{})
+			m.inflight[k] = ch
+		}
+		m.mu.Unlock()
+		if !wait {
+			return m.fill(k, ch, compute), true
+		}
+		<-ch
 	}
 }
 
-// memoRun returns the cached result for key at the current fingerprint,
-// or computes it via compute. Exactly one goroutine computes a given
-// key; others requesting it block until the result is committed. If the
-// computer panics, waiters retry (and typically re-panic the same way).
-func (s *Suite) memoRun(key string, compute func() stats.Run) stats.Run {
-	full := key + s.Fingerprint()
-	for {
-		s.mu.Lock()
-		if r, ok := s.results[full]; ok {
-			s.hits++
-			s.mu.Unlock()
-			return r
-		}
-		if ch, ok := s.runInflight[full]; ok {
-			s.mu.Unlock()
-			<-ch
-			continue
-		}
-		ch := make(chan struct{})
-		s.runInflight[full] = ch
-		s.mu.Unlock()
-
-		var r stats.Run
-		func() {
-			defer func() {
-				s.mu.Lock()
-				delete(s.runInflight, full)
-				s.mu.Unlock()
-				close(ch)
-			}()
-			r = compute()
-			s.mu.Lock()
-			s.results[full] = r
-			s.sims++
-			s.mu.Unlock()
-		}()
-		return r
-	}
+// fill computes and commits k's value, then releases k's waiters, also
+// when compute panics.
+func (m *memo[K, V]) fill(k K, ch chan struct{}, compute func() V) V {
+	defer func() {
+		m.mu.Lock()
+		delete(m.inflight, k)
+		m.mu.Unlock()
+		close(ch)
+	}()
+	v := compute()
+	m.put(k, v)
+	return v
 }
 
-// storeResult commits an externally computed run into the memo under the
-// current fingerprint (used by drivers whose simulations need more than
-// the Run snapshot, e.g. RegressionWarmup's history inspection).
-func (s *Suite) storeResult(key string, m stats.Run) {
-	full := key + s.Fingerprint()
-	s.mu.Lock()
-	s.results[full] = m
-	s.sims++
-	s.mu.Unlock()
+// put commits v under k.
+func (m *memo[K, V]) put(k K, v V) {
+	m.mu.Lock()
+	if m.vals == nil {
+		m.vals = make(map[K]V)
+	}
+	m.vals[k] = v
+	m.mu.Unlock()
+}
+
+// memoized returns the run under k from the root's memo, computing it
+// with compute on a miss, and counts the simulation or the hit against
+// s.
+func (s *Suite) memoized(k runKey, compute func() stats.Run) stats.Run {
+	r, computed := s.runs.get(k, compute)
+	if computed {
+		s.sims.Add(1)
+	} else {
+		s.hits.Add(1)
+	}
+	return r
+}
+
+// storeResult commits a run computed outside the memo under w's key for
+// cfg: RegressionWarmup reads its runtime's history, which a memoized
+// run does not carry.
+func (s *Suite) storeResult(w workload.Workload, cfg core.Config, m stats.Run) {
+	s.runs.put(s.key(w, cfg, false, nil), m)
+	s.sims.Add(1)
 }
 
 // Simulations reports how many simulations this suite has executed
 // (memo misses; excludes derived sub-suites).
-func (s *Suite) Simulations() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sims
-}
+func (s *Suite) Simulations() int64 { return s.sims.Load() }
 
 // CacheHits reports how many results were served from the memo
 // (excludes derived sub-suites).
-func (s *Suite) CacheHits() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.hits
-}
+func (s *Suite) CacheHits() int64 { return s.hits.Load() }
 
 // Counters reports simulations executed and memo hits, aggregated over
 // this suite and every derived sub-suite.
 func (s *Suite) Counters() (sims, hits int64) {
+	sims, hits = s.sims.Load(), s.hits.Load()
 	s.mu.Lock()
-	sims, hits = s.sims, s.hits
 	subs := make([]*Suite, 0, len(s.subOrder))
 	for _, k := range s.subOrder {
 		subs = append(subs, s.subs[k])
@@ -265,8 +262,9 @@ func (s *Suite) Counters() (sims, hits int64) {
 // derived returns the sub-suite registered under key, creating it with
 // mk on first use. Sensitivity figures (11, 12, 13) derive alternate
 // scales from a parent suite; registering them here lets the planner and
-// the renderer agree on one shared memo per derived scale. The
-// sub-suite's Seed and GPU follow the parent's.
+// the renderer agree on one sub-suite per derived scale, and every
+// sub-suite shares the root's run memo. The sub-suite's Seed and GPU
+// follow the parent's.
 func (s *Suite) derived(key string, mk func() *Suite) *Suite {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -274,7 +272,7 @@ func (s *Suite) derived(key string, mk func() *Suite) *Suite {
 	if !ok {
 		sub = mk()
 		sub.label = s.label + "/" + key
-		sub.share = s.share // one sharing domain per root suite
+		sub.runs = s.runs
 		s.subs[key] = sub
 		s.subOrder = append(s.subOrder, key)
 	}
@@ -300,22 +298,23 @@ func (s *Suite) config(p core.PolicyKind) core.Config {
 }
 
 // Run simulates the workload under a GMT policy (or BaM), returning the
-// run metrics with WallTime filled in. Results are memoized. A BaM run
-// is computed once per root suite for all sub-suites that agree on
-// its dataset and core.BaMEquivalent config; phased sub-suites split
-// the other policies' runs at the eviction-free prefix.
+// run metrics with WallTime filled in. Results are memoized by run key;
+// phased sub-suites split the GMT policies' runs at the eviction-free
+// prefix.
 //
 //gmt:blocking
 func (s *Suite) Run(w workload.Workload, p core.PolicyKind) stats.Run {
-	cfg := s.config(p)
-	cfg.FootprintPages = int(w.Pages())
-	return s.memoRun(w.Name()+"/"+p.String(), func() stats.Run {
-		if p == core.PolicyBaM {
-			key := fmt.Sprintf("bam|%s|gpu=%+v|cfg=%+v", s.dataKey(w), s.GPU, core.BaMEquivalent(cfg))
-			return s.share.run(key, func() stats.Run { return s.simulate(w, cfg, false) })
-		}
-		return s.simulate(w, cfg, s.phased)
-	})
+	return s.runConfig(w, s.config(p), s.phased)
+}
+
+// hmmConfig is the CPU-orchestrated baseline's config at this scale.
+func (s *Suite) hmmConfig(forcedHitRate float64) baseline.HMMConfig {
+	cfg := baseline.DefaultHMMConfig()
+	cfg.Tier1Pages = s.Scale.Tier1Pages
+	cfg.PageCachePages = s.Scale.Tier2Pages
+	cfg.ForcedHitRate = forcedHitRate
+	cfg.Seed = s.Seed
+	return cfg
 }
 
 // RunHMM simulates the workload under the CPU-orchestrated baseline.
@@ -324,18 +323,12 @@ func (s *Suite) Run(w workload.Workload, p core.PolicyKind) stats.Run {
 //
 //gmt:blocking
 func (s *Suite) RunHMM(w workload.Workload, forcedHitRate float64) stats.Run {
-	cfg := baseline.DefaultHMMConfig()
-	cfg.Tier1Pages = s.Scale.Tier1Pages
-	cfg.PageCachePages = s.Scale.Tier2Pages
-	cfg.ForcedHitRate = forcedHitRate
-	cfg.Seed = s.Seed
-	cfg.FootprintPages = int(w.Pages())
-	gcfg := s.GPU
-	key := fmt.Sprintf("%s/HMM/%.3f", w.Name(), forcedHitRate)
-	return s.memoRun(key, func() stats.Run {
+	cfg := s.hmmConfig(forcedHitRate)
+	return s.memoized(s.key(w, core.Config{}, false, &cfg), func() stats.Run {
+		cfg.FootprintPages = int(w.Pages())
 		eng := sim.NewEngine()
 		h := baseline.NewHMM(eng, cfg)
-		g := gpu.New(eng, gcfg, &gpu.SliceStream{Trace: s.Trace(w)}, h)
+		g := gpu.New(eng, s.GPU, &gpu.SliceStream{Trace: s.Trace(w)}, h)
 		g.Launch()
 		eng.Run()
 		if !g.Done() {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/gmtsim/gmt"
 	"github.com/gmtsim/gmt/internal/exp"
 	"github.com/gmtsim/gmt/internal/fleet"
 	"github.com/gmtsim/gmt/internal/workload"
@@ -367,6 +369,44 @@ func TestSimPartialConfigRunsWithDefaults(t *testing.T) {
 	}
 }
 
+// invalidSubmissions are bodies the submit handler must reject with a
+// 400; they also seed FuzzSubmitValidation's corpus.
+var invalidSubmissions = []string{
+	`{`,
+	`{"kind":"experiment"}`,
+	`{"kind":"sim"}`,
+	`{"kind":"mystery"}`,
+	`{"kind":"experiment","experiment":{"name":"nope"}}`,
+	`{"kind":"sim","sim":{"app":"nope"}}`,
+	`{"kind":"sim","sim":{"app":"BFS"},"surprise":1}`,
+	`{"kind":"sim","sim":{"app":"BFS","config":{"Tier2Policy":"mru"}}}`,
+	`{"kind":"sim","sim":{"app":"BFS","config":{"Tier1Pages":-1}}}`,
+	`{"kind":"fleet"}`,
+	`{"kind":"fleet","fleet":{"nodes":0}}`,
+	`{"kind":"fleet","fleet":{"nodes":4,"templates":"v100"}}`,
+	`{"kind":"fleet","fleet":{"nodes":4,"router":"random"}}`,
+	`{"kind":"fleet","fleet":{"nodes":4,"t2policy":"mru"}}`,
+	`{"kind":"fleet","fleet":{"nodes":10000000}}`,
+	`{"kind":"fleet","fleet":{"nodes":5000,"requests":100}}`,
+	`{"kind":"fleet","fleet":{"nodes":4,"requests":2000000}}`,
+	`{"kind":"experiment","experiment":{"name":"fig8","t1":100000000}}`,
+	`{"kind":"experiment","experiment":{"name":"fig8","t2":100000000}}`,
+	`{"kind":"experiment","experiment":{"name":"fig8","osf":1000000}}`,
+	`{"kind":"experiment","experiment":{"name":"fig8","t1":60000,"t2":60000,"osf":4}}`,
+	`{"kind":"experiment","experiment":{"name":"fig8","t1":16,"t2":16,"osf":100}}`,
+	`{"kind":"sim","sim":{"app":"BFS","config":{"Warps":1000000000}}}`,
+	`{"kind":"sim","sim":{"app":"BFS","config":{"Tier1Pages":100000000}}}`,
+	`{"kind":"sim","sim":{"app":"BFS","config":{"Tier2Pages":100000000}}}`,
+	`{"kind":"sim","sim":{"app":"BFS","scale":{"Tier1Pages":100000000,"Tier2Pages":4096,"Oversubscription":2}}}`,
+	`{"kind":"sim","sim":{"app":"BFS","scale":{"Tier1Pages":1024,"Tier2Pages":100000000,"Oversubscription":2}}}`,
+	`{"kind":"sim","sim":{"app":"BFS","scale":{"Tier1Pages":1024,"Tier2Pages":4096,"Oversubscription":1000000}}}`,
+	`{"kind":"sim","sim":{"app":"BFS","scale":{"Tier1Pages":60000,"Tier2Pages":60000,"Oversubscription":4}}}`,
+	`{"kind":"sim","sim":{"app":"BFS","scale":{"Tier1Pages":16,"Tier2Pages":16,"Oversubscription":100}}}`,
+	`{"kind":"sim","sim":{"app":"BFS","scale":{"Tier1Pages":1024,"Tier2Pages":4096}}}`,
+	`{"kind":"sim","sim":{"app":"BFS","scale":{"Tier1Pages":1024,"Tier2Pages":4096,"Oversubscription":-2}}}`,
+	`{"kind":"sim","sim":{"app":"BFS","scale":{"Tier1Pages":-1,"Tier2Pages":4096,"Oversubscription":2}}}`,
+}
+
 // TestSubmitValidation: every malformed or out-of-range submission is
 // a 400 that admits no job. Fleet sizes, dataset scales, tier sizes and
 // warp counts come from client JSON, so values beyond the size limits
@@ -377,39 +417,7 @@ func TestSubmitValidation(t *testing.T) {
 	s := New(Options{Workers: 1, QueueDepth: 1})
 	s.exec = func(j *job) ([]byte, error) { return nil, fmt.Errorf("job %s admitted", j.id) }
 	defer s.Drain()
-	for _, body := range []string{
-		`{`,
-		`{"kind":"experiment"}`,
-		`{"kind":"sim"}`,
-		`{"kind":"mystery"}`,
-		`{"kind":"experiment","experiment":{"name":"nope"}}`,
-		`{"kind":"sim","sim":{"app":"nope"}}`,
-		`{"kind":"sim","sim":{"app":"BFS"},"surprise":1}`,
-		`{"kind":"sim","sim":{"app":"BFS","config":{"Tier2Policy":"mru"}}}`,
-		`{"kind":"sim","sim":{"app":"BFS","config":{"Tier1Pages":-1}}}`,
-		`{"kind":"fleet"}`,
-		`{"kind":"fleet","fleet":{"nodes":0}}`,
-		`{"kind":"fleet","fleet":{"nodes":4,"templates":"v100"}}`,
-		`{"kind":"fleet","fleet":{"nodes":4,"router":"random"}}`,
-		`{"kind":"fleet","fleet":{"nodes":4,"t2policy":"mru"}}`,
-		`{"kind":"fleet","fleet":{"nodes":10000000}}`,
-		`{"kind":"fleet","fleet":{"nodes":5000,"requests":100}}`,
-		`{"kind":"fleet","fleet":{"nodes":4,"requests":2000000}}`,
-		`{"kind":"experiment","experiment":{"name":"fig8","t1":100000000}}`,
-		`{"kind":"experiment","experiment":{"name":"fig8","t2":100000000}}`,
-		`{"kind":"experiment","experiment":{"name":"fig8","osf":1000000}}`,
-		`{"kind":"experiment","experiment":{"name":"fig8","t1":60000,"t2":60000,"osf":4}}`,
-		`{"kind":"sim","sim":{"app":"BFS","config":{"Warps":1000000000}}}`,
-		`{"kind":"sim","sim":{"app":"BFS","config":{"Tier1Pages":100000000}}}`,
-		`{"kind":"sim","sim":{"app":"BFS","config":{"Tier2Pages":100000000}}}`,
-		`{"kind":"sim","sim":{"app":"BFS","scale":{"Tier1Pages":100000000,"Tier2Pages":4096,"Oversubscription":2}}}`,
-		`{"kind":"sim","sim":{"app":"BFS","scale":{"Tier1Pages":1024,"Tier2Pages":100000000,"Oversubscription":2}}}`,
-		`{"kind":"sim","sim":{"app":"BFS","scale":{"Tier1Pages":1024,"Tier2Pages":4096,"Oversubscription":1000000}}}`,
-		`{"kind":"sim","sim":{"app":"BFS","scale":{"Tier1Pages":60000,"Tier2Pages":60000,"Oversubscription":4}}}`,
-		`{"kind":"sim","sim":{"app":"BFS","scale":{"Tier1Pages":1024,"Tier2Pages":4096}}}`,
-		`{"kind":"sim","sim":{"app":"BFS","scale":{"Tier1Pages":1024,"Tier2Pages":4096,"Oversubscription":-2}}}`,
-		`{"kind":"sim","sim":{"app":"BFS","scale":{"Tier1Pages":-1,"Tier2Pages":4096,"Oversubscription":2}}}`,
-	} {
+	for _, body := range invalidSubmissions {
 		if rec := post(t, s, body); rec.Code != http.StatusBadRequest {
 			t.Errorf("submit %s: want 400, got %d %s", body, rec.Code, rec.Body.String())
 		}
@@ -426,6 +434,86 @@ func TestSubmitValidation(t *testing.T) {
 	if rec := get(t, s, "/v1/jobs/jdeadbeef/result"); rec.Code != http.StatusNotFound {
 		t.Errorf("unknown result: want 404, got %d", rec.Code)
 	}
+}
+
+// FuzzSubmitValidation posts arbitrary bodies through the submit
+// handler with the executor stubbed. No body may panic it, each is
+// refused (400) or admitted (202), and an admitted experiment or sim job
+// resolves within the job size limits: tiers of at most 65536 pages, a
+// finite OSF in (0, 64], a working set of at most 262144 pages and at
+// most 65536 warps. Zero request fields resolve as the API documents
+// (gmtbench's defaults, quick quarters the tiers; a sim config inherits
+// the scale's tiers and the default warps).
+func FuzzSubmitValidation(f *testing.F) {
+	for _, body := range invalidSubmissions {
+		f.Add(body)
+	}
+	f.Add(expBody("fig8"))
+	f.Add(`{"kind":"experiment","experiment":{"name":"fig8","t1":60000,"t2":4000,"osf":4}}`)
+	f.Add(`{"kind":"sim","sim":{"app":"BFS","config":{"Warps":65536}}}`)
+	f.Add(`{"kind":"sim","sim":{"app":"BFS","scale":{"Tier1Pages":512,"Tier2Pages":2048,"Oversubscription":0.5}}}`)
+	f.Fuzz(func(t *testing.T, body string) {
+		s := New(Options{Workers: 1, QueueDepth: 1})
+		s.exec = func(j *job) ([]byte, error) { return nil, fmt.Errorf("job %s admitted", j.id) }
+		defer s.Drain()
+		rec := post(t, s, body)
+		if rec.Code == http.StatusBadRequest {
+			return
+		}
+		if rec.Code != http.StatusAccepted {
+			t.Fatalf("submit %q: got %d %s, want 400 or 202", body, rec.Code, rec.Body.String())
+		}
+		var req SubmitRequest
+		if err := json.NewDecoder(strings.NewReader(body)).Decode(&req); err != nil {
+			t.Fatalf("admitted %q, which does not decode: %v", body, err)
+		}
+		within := func(what string, t1, t2 int, osf float64) {
+			if t1 > 65536 || t2 > 65536 || math.IsNaN(osf) || math.IsInf(osf, 0) ||
+				osf <= 0 || osf > 64 || osf*float64(t1+t2) > 262144 {
+				t.Fatalf("admitted %q with %s t1=%d t2=%d osf=%g", body, what, t1, t2, osf)
+			}
+		}
+		switch req.Kind {
+		case "experiment":
+			e, sc := req.Experiment, workload.DefaultScale()
+			if e.Tier1Pages > 0 {
+				sc.Tier1Pages = e.Tier1Pages
+			}
+			if e.Tier2Pages > 0 {
+				sc.Tier2Pages = e.Tier2Pages
+			}
+			if e.Oversubscription > 0 {
+				sc.Oversubscription = e.Oversubscription
+			}
+			if e.Quick {
+				sc.Tier1Pages /= 4
+				sc.Tier2Pages /= 4
+			}
+			within("scale", sc.Tier1Pages, sc.Tier2Pages, sc.Oversubscription)
+		case "sim":
+			sc, cfg := gmt.DefaultScale(), gmt.DefaultConfig()
+			if req.Sim.Scale != nil {
+				sc = *req.Sim.Scale
+			}
+			within("scale", sc.Tier1Pages, sc.Tier2Pages, sc.Oversubscription)
+			if c := req.Sim.Config; c != nil {
+				cfg = *c
+				if cfg.Tier1Pages == 0 {
+					cfg.Tier1Pages = sc.Tier1Pages
+				}
+				if cfg.Tier2Pages == 0 {
+					cfg.Tier2Pages = sc.Tier2Pages
+				}
+				if cfg.Warps == 0 {
+					cfg.Warps = gmt.DefaultConfig().Warps
+				}
+			}
+			if cfg.Tier1Pages > 65536 || cfg.Tier2Pages > 65536 || cfg.Warps > 65536 {
+				t.Fatalf("admitted %q with config tiers %d/%d and %d warps",
+					body, cfg.Tier1Pages, cfg.Tier2Pages, cfg.Warps)
+			}
+		}
+	})
 }
 
 func TestJobTimeoutFailsJob(t *testing.T) {
