@@ -90,7 +90,7 @@ func BenchmarkSingleRun(b *testing.B) {
 }
 
 // TestSingleRunAllocGate is the CI gate behind BenchmarkSingleRun: one
-// complete Figure 8-scale simulation allocates at most 179 objects. The
+// complete Figure 8-scale simulation allocates at most 172 objects. The
 // budget scales with the footprint (arena chunks, device buffers), not
 // with the access count, so a per-access or per-miss allocation on any
 // path breaks it by thousands. The count is averaged over 20 runs:
@@ -105,8 +105,51 @@ func TestSingleRunAllocGate(t *testing.T) {
 	cfg.Policy = core.PolicyReuse
 	cfg.Tier1Pages = scale.Tier1Pages
 	cfg.Tier2Pages = scale.Tier2Pages
-	if n := testing.AllocsPerRun(20, func() { runCore(cfg, trace) }); n > 179 {
-		t.Errorf("one Figure 8-scale run = %.0f allocs, want <= 179", n)
+	if n := testing.AllocsPerRun(20, func() { runCore(cfg, trace) }); n > 172 {
+		t.Errorf("one Figure 8-scale run = %.0f allocs, want <= 172", n)
+	}
+}
+
+// TestRecycledRunAllocGate: a GMT-Reuse run at Figure 8 scale on a
+// recycled {engine, runtime} pair — Reset, then a fresh GPU for the
+// kernel, as exp runs every simulation — allocates at most 8 objects
+// and 16 KB, whatever the trace length: Reset keeps the Reuse sampler's
+// distance tracker, the backfill window and the runtime's own random
+// stream, so only the GPU and its warp array are new. Regrowing the
+// sampler on every run cost 27–37 objects and 200 KB–1.1 MB, growing
+// with the trace.
+func TestRecycledRunAllocGate(t *testing.T) {
+	if raceflag.Enabled || invariant.Enabled {
+		t.Skip("allocation gates run on the default build only")
+	}
+	scale := benchScale()
+	for _, w := range []workload.Workload{
+		workload.NewMultiVectorAdd(scale), workload.NewSrad(scale), workload.NewBFS(workload.NewGraphSet(scale, 42)),
+	} {
+		trace := w.Trace()
+		cfg := core.DefaultConfig()
+		cfg.Policy = core.PolicyReuse
+		cfg.Tier1Pages = scale.Tier1Pages
+		cfg.Tier2Pages = scale.Tier2Pages
+		cfg.FootprintPages = int(w.Pages())
+		eng := sim.NewEngine()
+		rt := core.NewRuntime(eng, cfg)
+		run := func() {
+			rt.Reset(cfg)
+			g := gpu.New(eng, gpu.DefaultConfig(), &gpu.SliceStream{Trace: trace}, rt)
+			g.Launch()
+			eng.Run()
+		}
+		run()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		objects := testing.AllocsPerRun(10, run)
+		if kb := float64(after.TotalAlloc-before.TotalAlloc) / 1024; objects > 8 || kb > 16 {
+			t.Errorf("%s (%d accesses): a recycled run allocated %.0f objects and %.1f KB, want <= 8 and <= 16",
+				w.Name(), len(trace), objects, kb)
+		}
 	}
 }
 

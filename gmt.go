@@ -274,100 +274,152 @@ func Run(cfg Config, w Workload) Result {
 	return RunTrace(cfg, w.Name(), w.Trace())
 }
 
-// RunTrace simulates a custom access trace under cfg.
+// RunTrace simulates a custom access trace under cfg on a fresh Runner.
 func RunTrace(cfg Config, name string, trace []Access) Result {
-	internalTrace := make([]gpu.Access, len(trace))
+	return new(Runner).RunTrace(cfg, name, trace)
+}
+
+// Runner simulates traces one after another on recycled state: its
+// engine, its GMT runtime with the GPU driving it, and its trace buffer
+// survive each run and are reset in place for the next, so a warm
+// Runner's run allocates nothing that grows with the trace. HMM runs
+// reuse the engine and the buffer only. Every run equals the same run
+// on a fresh Runner. The zero value is ready to use; a Runner is not
+// safe for concurrent use, and one whose run panicked must not be
+// reused.
+type Runner struct {
+	eng    *sim.Engine
+	rt     *core.Runtime
+	gpu    *gpu.GPU
+	stream gpu.SliceStream
+	trace  []gpu.Access
+}
+
+// RunTrace simulates a custom access trace under cfg.
+func (r *Runner) RunTrace(cfg Config, name string, trace []Access) Result {
+	if cap(r.trace) < len(trace) {
+		// Grown once, at the exact size: append would allocate several
+		// times the final size on the way.
+		r.trace = make([]gpu.Access, len(trace))
+	}
+	r.trace = r.trace[:len(trace)]
 	footprint := 0
 	for i, a := range trace {
-		internalTrace[i] = gpu.Access{Page: tier.PageID(a.Page), Write: a.Write}
+		r.trace[i] = gpu.Access{Page: tier.PageID(a.Page), Write: a.Write}
 		if int(a.Page)+1 > footprint {
 			footprint = int(a.Page) + 1
 		}
 	}
-	gcfg := gpu.DefaultConfig()
-	if cfg.Warps > 0 {
-		gcfg.Warps = cfg.Warps
-	}
-	if cfg.ComputePerAccess > 0 {
-		gcfg.ComputePerAccess = sim.Time(cfg.ComputePerAccess)
-	}
-	eng := sim.NewEngine()
-	var mm gpu.MemoryManager
-	var snapshot func() stats.Run
-	var history func() []stats.Run
-	if cfg.Policy == HMM {
-		h := baseline.DefaultHMMConfig()
-		h.Tier1Pages = cfg.Tier1Pages
-		h.PageCachePages = cfg.Tier2Pages
-		h.Seed = cfg.Seed
-		hm := baseline.NewHMM(eng, h)
-		mm, snapshot = hm, hm.Snapshot
+	r.stream = gpu.SliceStream{Trace: r.trace}
+	gcfg := gpuConfig(cfg)
+	if r.eng == nil {
+		r.eng = sim.NewEngine()
 	} else {
-		c := core.DefaultConfig()
-		c.Policy = internalPolicy(cfg.Policy)
-		c.Tier1Pages = cfg.Tier1Pages
-		c.Tier2Pages = cfg.Tier2Pages
-		c.Seed = cfg.Seed
-		c.AsyncEviction = cfg.AsyncEviction
-		c.PrefetchDegree = cfg.PrefetchDegree
-		c.HistorySample = cfg.HistorySample
-		c.TrackTier2Reuse = cfg.TrackTier2Reuse
-		if cfg.Tier2Policy != "" {
-			p, err := tier.ParseStorePolicy(cfg.Tier2Policy)
-			if err != nil {
-				panic("gmt: " + err.Error())
-			}
-			c.Tier2Policy = p
-		}
-		// Presize the runtime's dense page directory to the trace's
-		// page-ID bound so the per-access path never grows it.
-		c.FootprintPages = footprint
-		if cfg.SampleTarget > 0 {
-			c.SampleTarget = cfg.SampleTarget
-		}
-		if cfg.SampleBatch > 0 {
-			c.SampleBatch = cfg.SampleBatch
-		}
-		if cfg.BackfillThreshold > 0 {
-			c.BackfillThreshold = cfg.BackfillThreshold
-		}
-		if cfg.Policy == Oracle {
-			// The oracle's future must match the stream the runtime
-			// sees: barrier tokens are handled by the GPU and never
-			// reach the memory manager.
-			future := make([]tier.PageID, 0, len(trace))
-			for _, a := range trace {
-				if a.Page >= 0 {
-					future = append(future, tier.PageID(a.Page))
-				}
-			}
-			c.Future = future
-		}
-		rt := core.NewRuntime(eng, c)
-		mm, snapshot, history = rt, rt.Snapshot, rt.History
+		r.eng.Reset()
 	}
-	g := gpu.New(eng, gcfg, &gpu.SliceStream{Trace: internalTrace}, mm)
+	var m stats.Run
+	var history []stats.Run
+	if cfg.Policy == HMM {
+		hm := baseline.NewHMM(r.eng, hmmConfig(cfg))
+		r.launch(gpu.New(r.eng, gcfg, &r.stream, hm))
+		m = hm.Snapshot()
+	} else {
+		c := coreConfig(cfg, footprint, r.trace)
+		if r.rt == nil {
+			r.rt = core.NewRuntime(r.eng, c)
+			r.gpu = gpu.New(r.eng, gcfg, &r.stream, r.rt)
+		} else {
+			r.rt.Reset(c)
+			r.gpu.Reset(gcfg, &r.stream)
+		}
+		r.launch(r.gpu)
+		m = r.rt.Snapshot()
+		if cfg.HistorySample > 0 {
+			history = r.rt.History()
+		}
+	}
+	m.App = name
+	m.WallTime = r.eng.Now()
+	res := fromStats(m)
+	for _, h := range history {
+		res.History = append(res.History, HistoryPoint{
+			Accesses:     h.Accesses,
+			Tier1Hits:    h.Tier1Hits,
+			Tier2Hits:    h.Tier2Hits,
+			SSDReads:     h.SSDReads,
+			Tier2HitRate: h.Tier2HitRate(),
+		})
+	}
+	return res
+}
+
+// launch runs g's kernel on the Runner's engine to completion.
+func (r *Runner) launch(g *gpu.GPU) {
 	g.Launch()
-	eng.Run()
+	r.eng.Run()
 	if !g.Done() {
 		panic("gmt: kernel did not finish (deadlocked configuration)")
 	}
-	m := snapshot()
-	m.App = name
-	m.WallTime = eng.Now()
-	res := fromStats(m)
-	if history != nil {
-		for _, h := range history() {
-			res.History = append(res.History, HistoryPoint{
-				Accesses:     h.Accesses,
-				Tier1Hits:    h.Tier1Hits,
-				Tier2Hits:    h.Tier2Hits,
-				SSDReads:     h.SSDReads,
-				Tier2HitRate: h.Tier2HitRate(),
-			})
-		}
+}
+
+// gpuConfig maps cfg onto the GPU's: zero warps or compute keep the
+// defaults.
+func gpuConfig(cfg Config) gpu.Config {
+	g := gpu.DefaultConfig()
+	if cfg.Warps > 0 {
+		g.Warps = cfg.Warps
 	}
-	return res
+	if cfg.ComputePerAccess > 0 {
+		g.ComputePerAccess = sim.Time(cfg.ComputePerAccess)
+	}
+	return g
+}
+
+// hmmConfig maps cfg onto the HMM comparator's config.
+func hmmConfig(cfg Config) baseline.HMMConfig {
+	h := baseline.DefaultHMMConfig()
+	h.Tier1Pages = cfg.Tier1Pages
+	h.PageCachePages = cfg.Tier2Pages
+	h.Seed = cfg.Seed
+	return h
+}
+
+// coreConfig maps cfg onto the GMT runtime's config for a kernel over
+// trace whose page IDs lie below footprint. Zero sampling and backfill
+// knobs keep the paper defaults.
+func coreConfig(cfg Config, footprint int, trace []gpu.Access) core.Config {
+	c := core.DefaultConfig()
+	c.Policy = internalPolicy(cfg.Policy)
+	c.Tier1Pages = cfg.Tier1Pages
+	c.Tier2Pages = cfg.Tier2Pages
+	c.Seed = cfg.Seed
+	c.AsyncEviction = cfg.AsyncEviction
+	c.PrefetchDegree = cfg.PrefetchDegree
+	c.HistorySample = cfg.HistorySample
+	c.TrackTier2Reuse = cfg.TrackTier2Reuse
+	if cfg.Tier2Policy != "" {
+		p, err := tier.ParseStorePolicy(cfg.Tier2Policy)
+		if err != nil {
+			panic("gmt: " + err.Error())
+		}
+		c.Tier2Policy = p
+	}
+	// Presize the runtime's dense page directory to the trace's page-ID
+	// bound so the per-access path never grows it.
+	c.FootprintPages = footprint
+	if cfg.SampleTarget > 0 {
+		c.SampleTarget = cfg.SampleTarget
+	}
+	if cfg.SampleBatch > 0 {
+		c.SampleBatch = cfg.SampleBatch
+	}
+	if cfg.BackfillThreshold > 0 {
+		c.BackfillThreshold = cfg.BackfillThreshold
+	}
+	if cfg.Policy == Oracle {
+		c.Future = core.OracleFuture(trace)
+	}
+	return c
 }
 
 func internalPolicy(p Policy) core.PolicyKind {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"github.com/gmtsim/gmt/internal/gpu"
 	"github.com/gmtsim/gmt/internal/invariant"
 	"github.com/gmtsim/gmt/internal/sim"
 	"github.com/gmtsim/gmt/internal/tier"
@@ -27,6 +28,21 @@ import (
 // furthest's scan, ties breaking on page ID, so runs stay deterministic
 // and byte-identical to the scan (furthest remains the reference, and
 // -tags gmtinvariants builds assert the two agree on every pick).
+
+// OracleFuture derives Config.Future for a run of trace, as one kernel
+// or split into consecutive kernels: the pages the runtime will see, in
+// order. The runtime indexes the future once per memory access, and
+// barrier tokens are handled by the GPU and never reach it, so they are
+// dropped.
+func OracleFuture(trace []gpu.Access) []tier.PageID {
+	future := make([]tier.PageID, 0, len(trace))
+	for _, a := range trace {
+		if !a.IsBarrier() {
+			future = append(future, a.Page)
+		}
+	}
+	return future
+}
 
 // oracleDead is the key of a page that is never used again: further
 // than any real access index.

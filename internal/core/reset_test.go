@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
 	"github.com/gmtsim/gmt/internal/gpu"
@@ -39,12 +40,24 @@ func runKernel(t *testing.T, eng *sim.Engine, rt *Runtime, trace []gpu.Access, w
 	}
 }
 
-// resetConfigs is the differential-test matrix: consecutive entries
+// resetCase is one run of the differential chain: a config and the
+// trace it runs.
+type resetCase struct {
+	cfg   Config
+	trace []gpu.Access
+}
+
+// resetCases is the differential-test matrix: consecutive entries
 // exercise both Reset branches per component — shape-compatible (reset
 // in place) and shape-changed (rebuild) — across policies, Tier-2
 // implementations, tier capacities, drive counts, and optional-feature
-// flags.
-func resetConfigs() []Config {
+// flags; and the state Reset keeps across runs — the Reuse sampler
+// after a longer run and across a BaM run, and the runtime's own random
+// stream after a run on a caller's. Each call builds fresh caller
+// streams, so a fresh reference and the recycled chain draw alike.
+func resetCases() []resetCase {
+	trace := warmTailTrace(128, 3000, 512)
+	longTrace := warmTailTrace(128, 12000, 1024)
 	base := func() Config {
 		cfg := DefaultConfig()
 		cfg.Tier1Pages = 128
@@ -88,7 +101,32 @@ func resetConfigs() []Config {
 	async.AsyncEviction = true
 	async.Seed = 7
 
-	return []Config{bam, tierOrder, random, reuse, reuseAgain, lruk, twoq, smallT1, striped, async}
+	// A Reuse run four times longer over twice the pages grows the
+	// sampler's tracker; the runs after it must not see that capacity.
+	longReuse := base()
+	longReuse.Policy = PolicyReuse
+	longReuse.FootprintPages = 1024
+	longReuse.SampleTarget = 1 << 20
+
+	callerRNG := base()
+	callerRNG.Policy = PolicyRandom
+	callerRNG.RNG = rand.New(rand.NewSource(99))
+	ownRNG := base()
+	ownRNG.Policy = PolicyRandom
+	ownRNG.Seed = 5
+
+	cases := []resetCase{}
+	for _, cfg := range []Config{bam, tierOrder, random, reuse, reuseAgain, lruk, twoq, smallT1, striped, async} {
+		cases = append(cases, resetCase{cfg, trace})
+	}
+	return append(cases,
+		resetCase{longReuse, longTrace},
+		resetCase{reuse, trace}, // a Reuse run after a longer Reuse run
+		resetCase{bam, trace},
+		resetCase{async, trace}, // Reuse → BaM → Reuse
+		resetCase{callerRNG, trace},
+		resetCase{ownRNG, trace}, // own stream after a caller's
+	)
 }
 
 // TestResetMatchesFresh is the recycled-vs-fresh differential contract
@@ -97,44 +135,43 @@ func resetConfigs() []Config {
 // byte-identical run — wall clock, dispatched-event count, and the full
 // metrics snapshot — to a freshly constructed runtime under cfg.
 func TestResetMatchesFresh(t *testing.T) {
-	configs := resetConfigs()
-	trace := warmTailTrace(128, 3000, 512)
-
-	// Fresh references, one per config.
+	// Fresh references, one per case.
 	type ref struct {
 		now   sim.Time
 		steps int64
 	}
-	refs := make([]ref, len(configs))
-	snaps := make([]any, len(configs))
-	for i, cfg := range configs {
+	fresh := resetCases()
+	refs := make([]ref, len(fresh))
+	snaps := make([]any, len(fresh))
+	for i, c := range fresh {
 		eng := sim.NewEngine()
-		rt := NewRuntime(eng, cfg)
-		runKernel(t, eng, rt, trace, 16)
+		rt := NewRuntime(eng, c.cfg)
+		runKernel(t, eng, rt, c.trace, 16)
 		refs[i] = ref{now: eng.Now(), steps: eng.Steps()}
 		snaps[i] = rt.Snapshot()
 	}
 
-	// One recycled runtime serves every config in sequence; each run
-	// must match its fresh reference exactly.
+	// One recycled runtime serves every case in sequence; each run must
+	// match its fresh reference exactly.
+	cases := resetCases()
 	eng := sim.NewEngine()
-	rt := NewRuntime(eng, configs[0])
-	for i, cfg := range configs {
+	rt := NewRuntime(eng, cases[0].cfg)
+	for i, c := range cases {
 		if i > 0 {
-			rt.Reset(cfg)
+			rt.Reset(c.cfg)
 		}
-		runKernel(t, eng, rt, trace, 16)
+		runKernel(t, eng, rt, c.trace, 16)
 		if eng.Now() != refs[i].now {
-			t.Errorf("config %d (%v): wall time: fresh %d, recycled %d",
-				i, cfg.Policy, refs[i].now, eng.Now())
+			t.Errorf("case %d (%v): wall time: fresh %d, recycled %d",
+				i, c.cfg.Policy, refs[i].now, eng.Now())
 		}
 		if eng.Steps() != refs[i].steps {
-			t.Errorf("config %d (%v): dispatched events: fresh %d, recycled %d",
-				i, cfg.Policy, refs[i].steps, eng.Steps())
+			t.Errorf("case %d (%v): dispatched events: fresh %d, recycled %d",
+				i, c.cfg.Policy, refs[i].steps, eng.Steps())
 		}
 		if m := rt.Snapshot(); m != snaps[i] {
-			t.Errorf("config %d (%v): metrics diverged:\nfresh:    %+v\nrecycled: %+v",
-				i, cfg.Policy, snaps[i], m)
+			t.Errorf("case %d (%v): metrics diverged:\nfresh:    %+v\nrecycled: %+v",
+				i, c.cfg.Policy, snaps[i], m)
 		}
 		rt.CheckInvariants()
 	}

@@ -396,6 +396,12 @@ type Runtime struct {
 	markov     reuse.Markov
 	classifier reuse.Classifier
 	rng        *rand.Rand
+	// keptSampler and ownRNG survive Reset: the sampler an earlier
+	// Reuse run grew (reset in place, its tracker's capacity kept) and
+	// the stream a run without Config.RNG draws from (reseeded). sampler
+	// and rng point at them for the runs that use them.
+	keptSampler *reuse.Sampler
+	ownRNG      *rand.Rand
 	// historySample is cfg.HistorySample pre-widened to int64 so the
 	// per-access modulus needs no conversion; hotAux is true when any
 	// sampling work (history snapshots, the reuse sampler) must run per
@@ -427,39 +433,67 @@ var _ gpu.BatchMemoryManager = (*Runtime)(nil)
 
 // NewRuntime builds a runtime (and its devices) on eng.
 func NewRuntime(eng *sim.Engine, cfg Config) *Runtime {
+	checkShape(cfg)
+	rt := &Runtime{
+		eng:      eng,
+		ssd:      newStorage(eng, cfg),
+		hostLink: pcie.NewLink(eng, cfg.HostLanes),
+		t1:       tier.NewClock(cfg.Tier1Pages),
+	}
+	rt.mover = xfer.NewEngine(eng, rt.hostLink, cfg.Transfer)
+	rt.t2 = newTier2(cfg)
+	rt.begin(cfg)
+	return rt
+}
+
+// checkShape panics on a config no runtime can be built for.
+func checkShape(cfg Config) {
 	if cfg.Tier1Pages < 1 {
 		panic("core: Tier1Pages must be >= 1")
 	}
 	if cfg.PageSize <= 0 {
 		panic("core: PageSize must be positive")
 	}
-	storage := newStorage(eng, cfg)
-	rng := cfg.RNG
-	if rng == nil {
-		rng = rand.New(rand.NewSource(cfg.Seed))
+}
+
+// begin sets up the per-run state cfg selects on a runtime whose devices
+// are built (or reset) and whose run state is empty: the random stream,
+// the Reuse sampler and backfill window, the oracle's next-use table,
+// and the footprint reservations. NewRuntime and Reset share it.
+func (rt *Runtime) begin(cfg Config) {
+	rt.cfg = cfg
+	rt.rng = cfg.RNG
+	if rt.rng == nil {
+		// Seed replays exactly what rand.New(rand.NewSource(cfg.Seed))
+		// would draw. A caller's stream is never reseeded.
+		if rt.ownRNG == nil {
+			rt.ownRNG = rand.New(rand.NewSource(cfg.Seed))
+		} else {
+			rt.ownRNG.Seed(cfg.Seed)
+		}
+		rt.rng = rt.ownRNG
 	}
-	rt := &Runtime{
-		eng:      eng,
-		cfg:      cfg,
-		ssd:      storage,
-		hostLink: pcie.NewLink(eng, cfg.HostLanes),
-		t1:       tier.NewClock(cfg.Tier1Pages),
-		rng:      rng,
-		classifier: reuse.Classifier{
-			Tier1Pages: int64(cfg.Tier1Pages),
-			Tier2Pages: int64(cfg.Tier2Pages),
-		},
+	rt.classifier = reuse.Classifier{
+		Tier1Pages: int64(cfg.Tier1Pages),
+		Tier2Pages: int64(cfg.Tier2Pages),
 	}
-	rt.mover = xfer.NewEngine(eng, rt.hostLink, cfg.Transfer)
-	rt.t2 = newTier2(cfg)
 	if cfg.Policy == PolicyReuse {
-		rt.sampler = reuse.NewSampler(cfg.SampleTarget, cfg.SampleBatch)
+		if rt.keptSampler == nil {
+			rt.keptSampler = reuse.NewSampler(cfg.SampleTarget, cfg.SampleBatch)
+		} else {
+			rt.keptSampler.Reset(cfg.SampleTarget, cfg.SampleBatch)
+		}
+		rt.sampler = rt.keptSampler
 		rt.sampler.SetPipelined(!cfg.UnpipelinedRegression)
 		w := cfg.BackfillWindow
 		if w < 1 {
 			w = 1
 		}
-		rt.recentLong = make([]bool, w)
+		if cap(rt.recentLong) < w {
+			rt.recentLong = make([]bool, w)
+		}
+		rt.recentLong = rt.recentLong[:w]
+		clear(rt.recentLong)
 	}
 	if cfg.Policy == PolicyOracle {
 		if len(cfg.Future) == 0 {
@@ -473,13 +507,16 @@ func NewRuntime(eng *sim.Engine, cfg Config) *Runtime {
 		if rt.t2 != nil {
 			rt.t2.Reserve(cfg.FootprintPages)
 		}
-		rt.t1page = make([]int32, cfg.FootprintPages)
+		// A probe array longer than the footprint is behavior-neutral:
+		// entries beyond it are zero and no trace page reaches them.
+		if len(rt.t1page) < cfg.FootprintPages {
+			rt.t1page = make([]int32, cfg.FootprintPages)
+		}
 	}
 	rt.m.Policy = cfg.Policy.String()
 	rt.historySample = int64(cfg.HistorySample)
 	rt.hotAux = rt.historySample > 0 || rt.sampler != nil
 	rt.batchOK = rt.historySample == 0 && cfg.PrefetchDegree == 0 && rt.nextOcc == nil
-	return rt
 }
 
 // newStorage builds the drive (or striped array) for cfg on eng.
@@ -515,9 +552,11 @@ func newTier2(cfg Config) tier.Store {
 // large allocations a fresh build would have to repeat: the page
 // directory's state arena and index, the tier residency arrays (when
 // capacities allow), the batch-path probe array, the engine's event
-// arena, and every pipeline pool (fetches, placements, waiter nodes,
-// NVMe requests, transfer moves). exp's worker pool recycles runtimes
-// across sweep points through this; the contract is byte-identical
+// arena, every pipeline pool (fetches, placements, waiter nodes, NVMe
+// requests, transfer moves), the Reuse sampler with its distance
+// tracker, and the runtime's own random stream, reseeded from cfg.Seed.
+// exp's worker pool, fleet's per-template units and gmt.Runner recycle
+// runtimes through this; the contract is byte-identical
 // output versus a fresh runtime, pinned by the recycled-vs-fresh
 // differential test and enforced at suite scale by gmtbench
 // -comparebench.
@@ -526,12 +565,7 @@ func newTier2(cfg Config) tier.Store {
 // config, lane count, capacities, or Tier-2 policy) are rebuilt rather
 // than reset; everything shape-compatible is reset in place.
 func (rt *Runtime) Reset(cfg Config) {
-	if cfg.Tier1Pages < 1 {
-		panic("core: Tier1Pages must be >= 1")
-	}
-	if cfg.PageSize <= 0 {
-		panic("core: PageSize must be positive")
-	}
+	checkShape(cfg)
 	rt.eng.Reset()
 
 	// Storage: reset in place when the drive shape is unchanged.
@@ -567,16 +601,6 @@ func (rt *Runtime) Reset(cfg Config) {
 		rt.t2 = newTier2(cfg)
 	}
 
-	rng := cfg.RNG
-	if rng == nil {
-		rng = rand.New(rand.NewSource(cfg.Seed))
-	}
-	rt.cfg = cfg
-	rt.rng = rng
-	rt.classifier = reuse.Classifier{
-		Tier1Pages: int64(cfg.Tier1Pages),
-		Tier2Pages: int64(cfg.Tier2Pages),
-	}
 	rt.dir.reset()
 	for i := range rt.t1page {
 		rt.t1page[i] = 0
@@ -590,44 +614,13 @@ func (rt *Runtime) Reset(cfg Config) {
 	rt.vtd = 0
 	rt.sampler = nil
 	rt.markov = reuse.Markov{}
-	rt.recentLong = nil
 	rt.recentPos, rt.recentN = 0, 0
 	rt.nextOcc = nil
 	rt.t1Heap, rt.t2Heap = rt.t1Heap[:0], rt.t2Heap[:0]
 	rt.m = stats.Run{}
 	rt.history = rt.history[:0]
 	rt.reuseNS = nil
-	if cfg.Policy == PolicyReuse {
-		rt.sampler = reuse.NewSampler(cfg.SampleTarget, cfg.SampleBatch)
-		rt.sampler.SetPipelined(!cfg.UnpipelinedRegression)
-		w := cfg.BackfillWindow
-		if w < 1 {
-			w = 1
-		}
-		rt.recentLong = make([]bool, w)
-	}
-	if cfg.Policy == PolicyOracle {
-		if len(cfg.Future) == 0 {
-			panic("core: PolicyOracle requires Config.Future")
-		}
-		rt.nextOcc = nextOccurrences(cfg.Future)
-	}
-	if cfg.FootprintPages > 0 {
-		rt.dir.reserve(cfg.FootprintPages)
-		rt.t1.Reserve(cfg.FootprintPages)
-		if rt.t2 != nil {
-			rt.t2.Reserve(cfg.FootprintPages)
-		}
-		// A probe array longer than the footprint is behavior-neutral:
-		// entries beyond it are zero and no trace page reaches them.
-		if len(rt.t1page) < cfg.FootprintPages {
-			rt.t1page = make([]int32, cfg.FootprintPages)
-		}
-	}
-	rt.m.Policy = cfg.Policy.String()
-	rt.historySample = int64(cfg.HistorySample)
-	rt.hotAux = rt.historySample > 0 || rt.sampler != nil
-	rt.batchOK = rt.historySample == 0 && cfg.PrefetchDegree == 0 && rt.nextOcc == nil
+	rt.begin(cfg)
 }
 
 // resetStorage resets a drive or striped array in place.

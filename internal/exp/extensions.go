@@ -104,16 +104,16 @@ func RegressionWarmup(s *Suite) ([]WarmupRow, *stats.Table) {
 			cfg := s.config(core.PolicyReuse)
 			cfg.UnpipelinedRegression = unpipelined
 			cfg.HistorySample = interval
-			eng := sim.NewEngine()
-			rt := core.NewRuntime(eng, cfg)
-			g := gpuNew(s, eng, trace, rt)
+			u := s.acquireUnit(cfg)
+			g := gpuNew(s, u.eng, trace, u.rt)
 			g.Launch()
-			eng.Run()
-			m := rt.Snapshot()
+			u.eng.Run()
+			m := u.rt.Snapshot()
 			m.App = w.Name()
-			m.WallTime = eng.Now()
+			m.WallTime = u.eng.Now()
+			hist := u.rt.History()
+			s.releaseUnit(u)
 			s.storeResult(w, cfg, m)
-			hist := rt.History()
 			third := len(hist) / 3
 			if third < 1 {
 				third = 1

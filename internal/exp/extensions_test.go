@@ -5,6 +5,7 @@ import (
 
 	"github.com/gmtsim/gmt/internal/core"
 	"github.com/gmtsim/gmt/internal/sim"
+	"github.com/gmtsim/gmt/internal/tier"
 	"github.com/gmtsim/gmt/internal/workload"
 )
 
@@ -111,6 +112,43 @@ func TestHeadlineSurvivesKernelBarriers(t *testing.T) {
 			t.Errorf("%s with barriers: GMT-Reuse speedup %.2f < 1.25",
 				w.Name(), float64(bam)/float64(reuse))
 		}
+	}
+}
+
+// TestOracleFutureSkipsBarriers: an oracle's future is the sequence the
+// runtime sees, one entry per memory access, and barrier tokens never
+// reach the runtime. So a suite's oracle run over Srad with barriers
+// (3 among 4211 entries) equals a direct run whose future drops them; a
+// future that kept them would read every next use after the first
+// barrier one access off.
+func TestOracleFutureSkipsBarriers(t *testing.T) {
+	sc := workload.Scale{Tier1Pages: 64, Tier2Pages: 256, Oversubscription: 2}
+	srad := workload.NewSrad(sc)
+	srad.Barriers = true
+	trace := srad.Trace()
+	var future []tier.PageID
+	for _, a := range trace {
+		if !a.IsBarrier() {
+			future = append(future, a.Page)
+		}
+	}
+	if len(trace) != 4211 || len(trace)-len(future) != 3 {
+		t.Fatalf("Srad with barriers: %d entries, %d barriers; want 4211 and 3", len(trace), len(trace)-len(future))
+	}
+
+	s := NewSuite(sc)
+	cfg := s.config(core.PolicyOracle)
+	got := s.RunConfig(srad, cfg)
+
+	cfg.Future = future
+	cfg.FootprintPages = int(srad.Pages())
+	eng := sim.NewEngine()
+	g := gpuNew(s, eng, trace, core.NewRuntime(eng, cfg))
+	g.Launch()
+	eng.Run()
+	if got.WallTime != eng.Now() || eng.Now() != 22_575_155 {
+		t.Fatalf("oracle over Srad with barriers: suite run %d ns, run on the barrier-free future %d ns; want both 22575155",
+			got.WallTime, eng.Now())
 	}
 }
 

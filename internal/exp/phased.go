@@ -162,14 +162,11 @@ func (s *Suite) releaseUnit(u *runUnit) {
 // kernels on the same runtime split at the eviction-free prefix: the
 // second kernel launches once the first has drained. A prefix shorter
 // than minPrefix, or covering the whole trace, does not split. An
-// oracle's future is the trace itself.
+// oracle's future is the trace's, as core.OracleFuture derives it.
 func (s *Suite) simulate(w workload.Workload, cfg core.Config, split bool) stats.Run {
 	tr := s.Trace(w)
 	if cfg.Policy == core.PolicyOracle {
-		cfg.Future = make([]tier.PageID, len(tr))
-		for i, a := range tr {
-			cfg.Future[i] = a.Page
-		}
+		cfg.Future = core.OracleFuture(tr)
 	}
 	kernels := [][]gpu.Access{tr}
 	if split {

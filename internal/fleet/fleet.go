@@ -185,9 +185,10 @@ type Result struct {
 
 // unit is one recyclable simulation context: an {engine, runtime}
 // pair, the GPU every request kernel resets and relaunches, and the
-// buffer each request's accesses are emitted into. The fleet pool
-// mirrors exp's suite pool, so a 256-node run builds only workers-many
-// units and, once they are warm, simulating a request allocates nothing.
+// buffer each request's accesses are emitted into. The fleet keeps one
+// pool per template, each mirroring exp's suite pool, so a 256-node run
+// builds at most workers-many units per template and, once they are
+// warm, simulating a request allocates nothing.
 type unit struct {
 	eng    *sim.Engine
 	rt     *core.Runtime
@@ -230,17 +231,20 @@ func Run(ctx context.Context, cfg Config, workers int, clock func() int64) (Resu
 	assign := Assign(cfg.Router, weights, reqs)
 	perNode := Split(reqs, assign, cfg.Nodes)
 
+	// Units are pooled per template, so a Reset never changes a unit's
+	// shape: its tiers, drive and GPU stay the template's, and only the
+	// run state is reset.
 	var (
-		mu   sync.Mutex
-		pool []*unit
+		mu    sync.Mutex
+		pools = make([][]*unit, len(cfg.Templates))
 	)
-	acquire := func(ccfg core.Config, gcfg gpu.Config) *unit {
+	acquire := func(ti int, ccfg core.Config, gcfg gpu.Config) *unit {
 		mu.Lock()
 		var u *unit
-		if n := len(pool); n > 0 {
-			u = pool[n-1]
-			pool[n-1] = nil
-			pool = pool[:n-1]
+		if n := len(pools[ti]); n > 0 {
+			u = pools[ti][n-1]
+			pools[ti][n-1] = nil
+			pools[ti] = pools[ti][:n-1]
 		}
 		mu.Unlock()
 		if u == nil {
@@ -249,25 +253,25 @@ func Run(ctx context.Context, cfg Config, workers int, clock func() int64) (Resu
 		u.rt.Reset(ccfg)
 		return u
 	}
-	release := func(u *unit) {
+	release := func(ti int, u *unit) {
 		mu.Lock()
-		pool = append(pool, u)
+		pools[ti] = append(pools[ti], u)
 		mu.Unlock()
 	}
 
 	outcomes := make([]nodeOutcome, cfg.Nodes)
 	jobs := make([]exp.Job, cfg.Nodes)
 	for i := range jobs {
-		i := i
-		tpl := cfg.Templates[tplIdx[i]]
+		i, ti := i, tplIdx[i]
+		tpl := cfg.Templates[ti]
 		jobs[i] = exp.Job{
 			Key: fmt.Sprintf("node-%d", i),
 			Run: func() {
 				ccfg := tpl.coreConfig(cfg.Seed+int64(i), cfg.Tier2Policy)
 				ccfg.FootprintPages = int(nodeFootprint(tpl, cfg.Stream, perNode[i]))
-				u := acquire(ccfg, tpl.gpuConfig())
+				u := acquire(ti, ccfg, tpl.gpuConfig())
 				outcomes[i] = simulateNode(u, tpl, cfg.Stream, perNode[i])
-				release(u)
+				release(ti, u)
 			},
 		}
 	}

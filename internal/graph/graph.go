@@ -8,6 +8,8 @@ package graph
 
 import (
 	"cmp"
+	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 )
@@ -33,29 +35,138 @@ func GenerateKron(scale, edgeFactor int, seed int64) []Edge {
 	if scale < 1 || scale > 30 {
 		panic("graph: scale out of range")
 	}
-	n := int32(1) << scale
-	m := int(n) * edgeFactor
-	rng := rand.New(rand.NewSource(seed))
-	edges := make([]Edge, m)
+	k := newKron(scale, seed)
+	edges := make([]Edge, (1<<scale)*edgeFactor)
 	for i := range edges {
-		var src, dst int32
-		for bit := 0; bit < scale; bit++ {
-			r := rng.Float64()
-			switch {
-			case r < rmatA:
-				// top-left: neither bit set
-			case r < rmatA+rmatB:
-				dst |= 1 << bit
-			case r < rmatA+rmatB+rmatC:
-				src |= 1 << bit
-			default:
-				src |= 1 << bit
-				dst |= 1 << bit
-			}
-		}
-		edges[i] = Edge{Src: src, Dst: dst, Weight: int32(rng.Intn(64) + 1)}
+		src, dst, w := k.next()
+		edges[i] = Edge{Src: src, Dst: dst, Weight: w}
 	}
 	return edges
+}
+
+// Integer forms of the R-MAT thresholds and of Float64's resampling
+// bound: for a draw x of Int63, float64(x)/2^63 < p exactly when
+// x < thresholdOf(p), and Float64 resamples exactly when x >= kronOne.
+var (
+	kronA   = thresholdOf(rmatA)
+	kronAB  = thresholdOf(rmatA + rmatB)
+	kronABC = thresholdOf(rmatA + rmatB + rmatC)
+	kronOne = thresholdOf(1)
+)
+
+// thresholdOf returns the least x >= 0 with float64(x)/2^63 >= p. The
+// division is exact, and float64(x) never decreases as x grows, so a
+// binary search over x finds the boundary that rounding puts it at.
+func thresholdOf(p float64) int64 {
+	lo, hi := int64(0), int64(math.MaxInt64)
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if float64(mid)/(1<<63) >= p {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
+// kron draws R-MAT edges. It consumes the seeded stream exactly as a
+// rand.Rand drawing Float64 once per bit and Intn(64) per weight would:
+// the per-bit quadrant draws read the source directly, compared against
+// integer thresholds, and a draw Float64 would resample is resampled.
+type kron struct {
+	scale int
+	src   rand.Source
+	rng   *rand.Rand
+}
+
+func newKron(scale int, seed int64) *kron {
+	src := rand.NewSource(seed)
+	return &kron{scale: scale, src: src, rng: rand.New(src)}
+}
+
+// next draws one edge: one quadrant per bit, from the lowest, then the
+// weight. Quadrant A sets neither bit, B the dst bit, C the src bit and
+// D both; the three threshold tests set them without branches.
+func (k *kron) next() (src, dst, weight int32) {
+	for bit := 0; bit < k.scale; bit++ {
+		x := k.src.Int63()
+		for x >= kronOne {
+			x = k.src.Int63()
+		}
+		a, ab, abc := atLeast(x, kronA), atLeast(x, kronAB), atLeast(x, kronABC)
+		src |= ab << bit
+		dst |= (a ^ ab ^ abc) << bit
+	}
+	return src, dst, int32(k.rng.Intn(64) + 1)
+}
+
+// atLeast is 1 when x >= t and 0 otherwise, for x, t in [0, 2^63).
+func atLeast(x, t int64) int32 {
+	return int32(1 + (x-t)>>63)
+}
+
+// maxPackedScale is the largest scale KronCSR builds: an edge packs into
+// 64 bits as src, dst and weight-1 in scale, scale and 6 bits.
+const maxPackedScale = 29
+
+// KronCSR builds the CSR of GenerateKron(scale, edgeFactor, seed) —
+// equal to BuildCSR over that edge list — without materializing the
+// edge list or a sorted copy. Each edge is drawn straight into its
+// packed form, src<<(scale+6) | dst<<6 | (weight-1), and the packed
+// slice is sorted in place comparing only src and dst. The sort is
+// slices.SortFunc's pdqsort, whose moves depend only on comparison
+// outcomes and the length, so it permutes the edges exactly as
+// BuildCSR's sort does, down to the order of duplicate (src, dst) edges
+// with different weights. The packed form holds scales up to 29
+// (maxPackedScale), and KronCSR panics above that: workload.GraphSet
+// would need a working set above about 42 million pages to get there.
+func KronCSR(scale, edgeFactor int, seed int64) *CSR {
+	if scale < 1 || scale > maxPackedScale {
+		panic(fmt.Sprintf("graph: KronCSR packs scales 1..%d, got %d", maxPackedScale, scale))
+	}
+	k := newKron(scale, seed)
+	packed := make([]uint64, (1<<scale)*edgeFactor)
+	for i := range packed {
+		src, dst, w := k.next()
+		packed[i] = pack(scale, src, dst, w)
+	}
+	return packedCSR(scale, packed)
+}
+
+// pack encodes one edge of a 2^scale-vertex graph for packedCSR.
+func pack(scale int, src, dst, weight int32) uint64 {
+	return uint64(src)<<(scale+6) | uint64(dst)<<6 | uint64(weight-1)
+}
+
+// sortPacked sorts packed edges in place by (src, dst), as BuildCSR
+// sorts edges.
+func sortPacked(packed []uint64) {
+	slices.SortFunc(packed, func(a, b uint64) int {
+		return cmp.Compare(a>>6, b>>6)
+	})
+}
+
+// packedCSR sorts packed edges and builds the CSR of a 2^scale-vertex
+// graph from them.
+func packedCSR(scale int, packed []uint64) *CSR {
+	sortPacked(packed)
+	n := int32(1) << scale
+	c := &CSR{
+		N:       n,
+		Offsets: make([]int64, n+1),
+		Dst:     make([]int32, len(packed)),
+		Weight:  make([]int32, len(packed)),
+	}
+	for i, e := range packed {
+		c.Offsets[e>>(scale+6)+1]++
+		c.Dst[i] = int32(e>>6) & (n - 1)
+		c.Weight[i] = int32(e&63) + 1
+	}
+	for v := int32(1); v <= n; v++ {
+		c.Offsets[v] += c.Offsets[v-1]
+	}
+	return c
 }
 
 // CSR is a compressed sparse row adjacency structure.

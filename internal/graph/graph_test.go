@@ -1,7 +1,10 @@
 package graph
 
 import (
+	"cmp"
 	"math"
+	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -53,6 +56,153 @@ func TestKronBadScalePanics(t *testing.T) {
 		}
 	}()
 	GenerateKron(0, 4, 1)
+}
+
+// referenceKron is GenerateKron's historical draw loop: one Float64 per
+// bit, compared against the R-MAT probabilities, then Intn(64).
+func referenceKron(scale, edgeFactor int, seed int64) []Edge {
+	rng := rand.New(rand.NewSource(seed))
+	edges := make([]Edge, (1<<scale)*edgeFactor)
+	for i := range edges {
+		var src, dst int32
+		for bit := 0; bit < scale; bit++ {
+			r := rng.Float64()
+			switch {
+			case r < rmatA:
+			case r < rmatA+rmatB:
+				dst |= 1 << bit
+			case r < rmatA+rmatB+rmatC:
+				src |= 1 << bit
+			default:
+				src |= 1 << bit
+				dst |= 1 << bit
+			}
+		}
+		edges[i] = Edge{Src: src, Dst: dst, Weight: int32(rng.Intn(64) + 1)}
+	}
+	return edges
+}
+
+// TestKronMatchesFloat64Reference: the integer-threshold draws produce
+// the historical edge lists, draw for draw.
+func TestKronMatchesFloat64Reference(t *testing.T) {
+	for _, seed := range []int64{1, 7, 42} {
+		for _, scale := range []int{1, 2, 3, 5, 8, 11, 14} {
+			got, want := GenerateKron(scale, 3, seed), referenceKron(scale, 3, seed)
+			if !slices.Equal(got, want) {
+				t.Fatalf("scale %d seed %d: GenerateKron differs from the Float64 reference", scale, seed)
+			}
+		}
+	}
+}
+
+// TestThresholdsMatchFloat64: each integer threshold sits exactly where
+// float64(x)/2^63 crosses its probability.
+func TestThresholdsMatchFloat64(t *testing.T) {
+	for _, c := range []struct {
+		p float64
+		t int64
+	}{{rmatA, kronA}, {rmatA + rmatB, kronAB}, {rmatA + rmatB + rmatC, kronABC}, {1, kronOne}} {
+		for d := int64(-2048); d <= 2048 && d <= math.MaxInt64-c.t; d++ {
+			x := c.t + d
+			if below := float64(x)/(1<<63) < c.p; below != (x < c.t) {
+				t.Fatalf("p=%g: x=%d float test %v, threshold %d", c.p, x, below, c.t)
+			}
+		}
+	}
+}
+
+// TestKronCSRMatchesBuildCSR: the packed build equals BuildCSR over
+// GenerateKron's edges across scales, edge factors and seeds — every
+// offset, destination and weight, so the order of duplicate (src, dst)
+// edges with different weights too.
+func TestKronCSRMatchesBuildCSR(t *testing.T) {
+	check := func(scale, ef int, seed int64) {
+		t.Helper()
+		got := KronCSR(scale, ef, seed)
+		want := BuildCSR(int32(1)<<scale, GenerateKron(scale, ef, seed))
+		if !equalCSR(got, want) {
+			t.Fatalf("scale %d, edge factor %d, seed %d: KronCSR differs from BuildCSR(GenerateKron)", scale, ef, seed)
+		}
+	}
+	for scale := 1; scale <= 14; scale++ {
+		for _, ef := range []int{1, 3, 8} {
+			for _, seed := range []int64{1, 42} {
+				check(scale, ef, seed)
+			}
+		}
+	}
+	check(16, 8, 42) // the quick-scale graph
+}
+
+// TestPackedBuildDuplicateWeights: on constructed edge lists full of
+// duplicate (src, dst) edges with different weights, at every packable
+// scale, packing round-trips the extreme vertex IDs and weights and the
+// packed sort permutes the edges exactly as BuildCSR's (Src, Dst) sort
+// does. Up to scale 20 the packed CSR is also built and compared with
+// BuildCSR's; a 2^29-vertex CSR is too large to build in a test.
+func TestPackedBuildDuplicateWeights(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for scale := 1; scale <= maxPackedScale; scale++ {
+		edges := constructedEdges(rng, scale, 3000)
+		packed := make([]uint64, len(edges))
+		for i, e := range edges {
+			packed[i] = pack(scale, e.Src, e.Dst, e.Weight)
+		}
+		if scale <= 20 && !equalCSR(packedCSR(scale, slices.Clone(packed)), BuildCSR(int32(1)<<scale, edges)) {
+			t.Fatalf("scale %d: packed CSR differs from BuildCSR", scale)
+		}
+		sortPacked(packed)
+		want := slices.Clone(edges)
+		slices.SortFunc(want, func(a, b Edge) int {
+			if c := cmp.Compare(a.Src, b.Src); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.Dst, b.Dst)
+		})
+		mask := uint64(1)<<scale - 1
+		for i, p := range packed {
+			got := Edge{Src: int32(p >> (scale + 6)), Dst: int32(p >> 6 & mask), Weight: int32(p&63) + 1}
+			if got != want[i] {
+				t.Fatalf("scale %d, position %d: packed sort gives %+v, edge sort %+v", scale, i, got, want[i])
+			}
+		}
+	}
+}
+
+func TestKronCSRBadScalePanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("scale 30 did not panic")
+		}
+	}()
+	KronCSR(maxPackedScale+1, 1, 1)
+}
+
+// constructedEdges draws n edges of a 2^scale-vertex graph whose
+// endpoints come from a small pool including 0 and 2^scale-1, so
+// (src, dst) pairs repeat, with weights spanning 1..64.
+func constructedEdges(rng *rand.Rand, scale, n int) []Edge {
+	top := int32(1)<<scale - 1
+	pool := []int32{0, top, top / 2, top / 3}
+	for i := 0; i < 12; i++ {
+		pool = append(pool, rng.Int31n(top+1))
+	}
+	edges := make([]Edge, n)
+	for i := range edges {
+		edges[i] = Edge{
+			Src:    pool[rng.Intn(len(pool))],
+			Dst:    pool[rng.Intn(len(pool))],
+			Weight: int32(rng.Intn(64) + 1),
+		}
+	}
+	edges[0].Weight, edges[1].Weight = 1, 64
+	return edges
+}
+
+func equalCSR(a, b *CSR) bool {
+	return a.N == b.N && slices.Equal(a.Offsets, b.Offsets) &&
+		slices.Equal(a.Dst, b.Dst) && slices.Equal(a.Weight, b.Weight)
 }
 
 func TestBuildCSRTiny(t *testing.T) {

@@ -23,6 +23,9 @@ type DistanceTracker struct {
 	lastNeg map[tier.PageID]int
 	bit     fenwick
 	pos     int
+	// pages is one past the highest page ID stored in last: the extent
+	// Reset must clear.
+	pages int
 }
 
 // NewDistanceTracker returns an empty tracker.
@@ -75,6 +78,23 @@ func (t *DistanceTracker) store(p tier.PageID, cur int) {
 		t.grow(int(p))
 	}
 	t.last[p] = int64(cur)
+	if int(p) >= t.pages {
+		t.pages = int(p) + 1
+	}
+}
+
+// Reset empties the tracker for a new stream, keeping its capacity. It
+// touches only what the last stream used — the position table up to the
+// highest page stored and the tree up to the last position — not the
+// capacity retained from longer streams before it.
+func (t *DistanceTracker) Reset() {
+	for i := range t.last[:t.pages] {
+		t.last[i] = -1
+	}
+	t.pages = 0
+	clear(t.lastNeg)
+	t.bit.clear(t.pos)
+	t.pos = 0
 }
 
 // grow widens the dense position table to cover page ID p.

@@ -79,10 +79,20 @@ type Sampler struct {
 // NewSampler returns a sampler that stops observing after target sample
 // pairs and republishes coefficients every batch pairs.
 func NewSampler(target, batch int) *Sampler {
+	s := &Sampler{tracker: NewDistanceTracker()}
+	s.Reset(target, batch)
+	return s
+}
+
+// Reset makes s equal to NewSampler(target, batch) while keeping its
+// distance tracker's capacity, so a runtime recycled across runs does
+// not regrow the tracker's tree from scratch on every run.
+func (s *Sampler) Reset(target, batch int) {
 	if batch < 1 {
 		batch = 10_000
 	}
-	return &Sampler{tracker: NewDistanceTracker(), target: target, batch: batch, pipelined: true}
+	s.tracker.Reset()
+	*s = Sampler{tracker: s.tracker, target: target, batch: batch, pipelined: true}
 }
 
 // SetPipelined controls whether coefficients are republished per batch

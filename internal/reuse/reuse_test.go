@@ -40,6 +40,55 @@ func TestFenwickAgainstNaive(t *testing.T) {
 	}
 }
 
+// TestFenwickGrowthAgainstNaive drives the tree through several
+// doublings — positions drawn from a range that widens each round — and
+// through clears that keep the grown capacity, checking every RangeSum
+// against a plain array and every cleared tree against a fresh one.
+func TestFenwickGrowthAgainstNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var bit fenwick
+	for trial := 0; trial < 4; trial++ {
+		naive := make([]int64, 1<<12>>trial)
+		used := 0
+		for span := 40; span <= len(naive); span *= 2 {
+			for op := 0; op < 200; op++ {
+				i := rng.Intn(span)
+				d := int64(rng.Intn(7) - 3)
+				bit.Add(i, d)
+				naive[i] += d
+				if i+1 > used {
+					used = i + 1
+				}
+			}
+			for q := 0; q < 100; q++ {
+				lo, hi := rng.Intn(span+8), rng.Intn(span+8)
+				if lo > hi {
+					lo, hi = hi, lo
+				}
+				var want int64
+				for i := lo; i <= hi && i < len(naive); i++ {
+					want += naive[i]
+				}
+				if got := bit.RangeSum(lo, hi); got != want {
+					t.Fatalf("trial %d, span %d: RangeSum(%d, %d) = %d, want %d", trial, span, lo, hi, got, want)
+				}
+			}
+		}
+		if c := bit.capacity(); c < 1<<12 || c&(c-1) != 0 {
+			t.Fatalf("capacity %d: want a power of two >= %d", c, 1<<12)
+		}
+		// A clear must leave no node nonzero: the tree equals a fresh
+		// one of the same capacity. Later trials touch fewer positions,
+		// so they clear a prefix of the retained capacity only.
+		bit.clear(used)
+		for j, v := range bit.tree {
+			if v != 0 {
+				t.Fatalf("trial %d: node %d = %d after clear(%d)", trial, j, v, used)
+			}
+		}
+	}
+}
+
 // naiveDistances computes VTD and RD for each access by brute force.
 func naiveDistances(trace []tier.PageID) (vtds, rds []int64, oks []bool) {
 	for i, p := range trace {
@@ -240,6 +289,60 @@ func TestSamplerBatchingAndTarget(t *testing.T) {
 	}
 	if s.Batches() < 2 {
 		t.Fatalf("batches = %d, want >= 2 (pipelined publication)", s.Batches())
+	}
+}
+
+// TestSamplerResetMatchesNew: a sampler Reset after a longer stream —
+// unpipelined, with negative page IDs and a grown tracker — observes a
+// new stream exactly like NewSampler with the same arguments: the same
+// (VTD, RD) pairs, batches and published coefficients after every
+// access.
+func TestSamplerResetMatchesNew(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	stream := func(n, pages int) []tier.PageID {
+		tr := make([]tier.PageID, n)
+		for i := range tr {
+			tr[i] = tier.PageID(rng.Intn(pages))
+			if i%97 == 0 {
+				tr[i] = -tier.PageID(rng.Intn(3) + 1)
+			}
+		}
+		return tr
+	}
+	recycled := NewSampler(1<<20, 500)
+	recycled.SetPipelined(false)
+	for _, p := range stream(20_000, 3000) {
+		recycled.Observe(p)
+	}
+	// The second stream outgrows the first, so it reads tree nodes the
+	// first stream's ancestors occupied.
+	for _, args := range [][3]int{{900, 64, 4000}, {1 << 20, 0, 30_000}, {2000, 300, 4000}} {
+		target, batch, n := args[0], args[1], args[2]
+		recycled.Reset(target, batch)
+		fresh := NewSampler(target, batch)
+		for i, p := range stream(n, 200) {
+			recycled.Observe(p)
+			fresh.Observe(p)
+			if recycled.Pairs() != fresh.Pairs() || recycled.Batches() != fresh.Batches() ||
+				recycled.Coeffs() != fresh.Coeffs() || recycled.Done() != fresh.Done() {
+				t.Fatalf("Reset(%d, %d), access %d: recycled pairs %d batches %d coeffs %+v; fresh %d %d %+v",
+					target, batch, i, recycled.Pairs(), recycled.Batches(), recycled.Coeffs(),
+					fresh.Pairs(), fresh.Batches(), fresh.Coeffs())
+			}
+		}
+	}
+	// The tracker underneath reports the same distances as a new one.
+	tr, ref := NewDistanceTracker(), NewDistanceTracker()
+	for _, p := range stream(10_000, 5000) {
+		tr.Observe(p)
+	}
+	tr.Reset()
+	for i, p := range stream(3000, 100) {
+		v, r, ok := tr.Observe(p)
+		wv, wr, wok := ref.Observe(p)
+		if v != wv || r != wr || ok != wok {
+			t.Fatalf("access %d (page %d): reset tracker (%d, %d, %v), new tracker (%d, %d, %v)", i, p, v, r, ok, wv, wr, wok)
+		}
 	}
 }
 

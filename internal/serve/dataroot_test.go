@@ -2,14 +2,18 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 
 	"github.com/gmtsim/gmt"
 	"github.com/gmtsim/gmt/internal/exp"
+	"github.com/gmtsim/gmt/internal/invariant"
+	"github.com/gmtsim/gmt/internal/raceflag"
 	"github.com/gmtsim/gmt/internal/workload"
 )
 
@@ -65,41 +69,101 @@ func held(s *Server, c *suiteLRU) []*exp.Suite {
 }
 
 // TestSimBytesMatchFreshGmtRun pins the sim job's bytes contract across
-// the data root: every app under every core policy plus HMM serves
-// exactly what gmt.Run prints for a freshly built workload.
+// the data root and the runner pool: every app under every policy, and
+// configs that set each optional knob, serve exactly what gmt.Run
+// prints for a freshly built workload. With one worker, one pooled
+// runner runs every job, and the first job is a large one, so each case
+// runs on a runner that carries the capacity of a longer trace, a
+// bigger footprint and a grown sampler. With three, the workers share
+// the pool concurrently.
 func TestSimBytesMatchFreshGmtRun(t *testing.T) {
-	s := New(Options{Workers: 2, QueueDepth: 64})
-	defer s.Drain()
+	type simCase struct {
+		w     gmt.Workload
+		scale gmt.Scale
+		cfg   gmt.Config
+	}
+	bigScale := gmt.Scale{Tier1Pages: 256, Tier2Pages: 1024, Oversubscription: 2}
+	big := gmt.DefaultConfig()
+	big.Tier1Pages, big.Tier2Pages = bigScale.Tier1Pages, bigScale.Tier2Pages
+	big.SampleTarget = 1 << 20
+	big.HistorySample = 64
+	big.PrefetchDegree = 8
+	big.TrackTier2Reuse = true
+	byName := func(ws []gmt.Workload, name string) gmt.Workload {
+		for _, w := range ws {
+			if w.Name() == name {
+				return w
+			}
+		}
+		t.Fatalf("no workload %s", name)
+		return nil
+	}
+	cases := []simCase{{byName(gmt.Suite(bigScale), "PageRank"), bigScale, big}}
 
 	fresh := append(gmt.Suite(tinyScale), gmt.KVServe(tinyScale))
-	policies := []gmt.Policy{gmt.BaM, gmt.Reuse, gmt.HMM, gmt.Oracle}
-	ids := map[string]string{}
+	policies := []gmt.Policy{gmt.BaM, gmt.TierOrder, gmt.Random, gmt.Reuse, gmt.HMM, gmt.Oracle}
 	for _, w := range fresh {
 		for _, p := range policies {
-			rec := post(t, s, simBody(t, w.Name(), tinyScale, tinyConfig(p)))
-			if rec.Code != http.StatusAccepted {
-				t.Fatalf("submit %s/%v: %d %s", w.Name(), p, rec.Code, rec.Body.String())
-			}
-			ids[w.Name()+"/"+p.String()] = decodeStatus(t, rec).ID
+			cases = append(cases, simCase{w, tinyScale, tinyConfig(p)})
 		}
 	}
-	for _, w := range fresh {
-		for _, p := range policies {
-			id := ids[w.Name()+"/"+p.String()]
-			waitStatus(t, s, id, StatusDone)
-			got := get(t, s, "/v1/jobs/"+id+"/result").Body.Bytes()
-			want, err := json.MarshalIndent(gmt.Run(tinyConfig(p), w), "", "  ")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, append(want, '\n')) {
-				t.Errorf("%s under %v: served bytes differ from gmt.Run on a fresh workload\n got: %s\nwant: %s",
-					w.Name(), p, got, want)
+	knobs := []func(*gmt.Config){
+		func(c *gmt.Config) { c.HistorySample = 64 },
+		func(c *gmt.Config) { c.TrackTier2Reuse = true },
+		func(c *gmt.Config) { c.Tier2Policy = "2q" },
+		func(c *gmt.Config) { c.PrefetchDegree = 4 },
+		func(c *gmt.Config) { c.AsyncEviction = true },
+		func(c *gmt.Config) { c.Warps = 48 },
+	}
+	for _, name := range []string{"Srad", "BFS", "KVServe"} {
+		w := byName(fresh, name)
+		for _, p := range []gmt.Policy{gmt.Random, gmt.Reuse} {
+			for _, knob := range knobs {
+				cfg := tinyConfig(p)
+				knob(&cfg)
+				cases = append(cases, simCase{w, tinyScale, cfg})
 			}
 		}
 	}
-	if n := len(held(s, &s.roots)); n != 1 {
-		t.Fatalf("%d data roots for one scale, want 1", n)
+
+	want := make([][]byte, len(cases))
+	for i, c := range cases {
+		res, err := json.MarshalIndent(gmt.Run(c.cfg, c.w), "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = append(res, '\n')
+	}
+	for _, workers := range []int{1, 3} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			s := New(Options{Workers: workers, QueueDepth: 128})
+			defer s.Drain()
+			ids := make([]string, len(cases))
+			for i, c := range cases {
+				rec := post(t, s, simBody(t, c.w.Name(), c.scale, c.cfg))
+				if rec.Code != http.StatusAccepted {
+					t.Fatalf("submit %s %+v: %d %s", c.w.Name(), c.cfg, rec.Code, rec.Body.String())
+				}
+				ids[i] = decodeStatus(t, rec).ID
+				if i == 0 {
+					waitStatus(t, s, ids[0], StatusDone) // warm a runner first
+				}
+			}
+			for i, c := range cases {
+				waitStatus(t, s, ids[i], StatusDone)
+				if got := get(t, s, "/v1/jobs/"+ids[i]+"/result").Body.Bytes(); !bytes.Equal(got, want[i]) {
+					t.Errorf("%s under %+v: served bytes differ from gmt.Run on a fresh workload\n got: %s\nwant: %s",
+						c.w.Name(), c.cfg, got, want[i])
+				}
+			}
+			s.Drain()
+			if n := len(held(s, &s.roots)); n != 2 {
+				t.Fatalf("%d data roots for two scales, want 2", n)
+			}
+			if n := len(s.runners); n < 1 || n > workers {
+				t.Fatalf("%d pooled runners, want 1 to %d", n, workers)
+			}
+		})
 	}
 }
 
@@ -247,5 +311,49 @@ func TestWorkerPanicFailsJob(t *testing.T) {
 	after := held(s, &s.roots)
 	if len(roots) != 1 || len(after) != 1 || after[0] != roots[0] {
 		t.Fatalf("data roots %v before and %v after the panic, want one shared root", roots, after)
+	}
+}
+
+// TestSimRunnerAllocGate: a sim job on a warm runner allocates nothing
+// that grows with its trace. The data root's trace is memoized and the
+// runner's buffers already hold the longer trace, so MultiVectorAdd
+// (4095 accesses) and Srad (17216, 4.2× as many) each allocate at most
+// 8 objects and 16 KB — the encoded result. Copying the trace into a
+// fresh runtime on every job cost 200 KB and more.
+func TestSimRunnerAllocGate(t *testing.T) {
+	if raceflag.Enabled || invariant.Enabled {
+		t.Skip("allocation gates run on the default build only")
+	}
+	s := New(Options{Workers: 1})
+	defer s.Drain()
+	sc := gmt.Scale{Tier1Pages: 256, Tier2Pages: 1024, Oversubscription: 2}
+	cfg := gmt.DefaultConfig()
+	cfg.Tier1Pages, cfg.Tier2Pages = sc.Tier1Pages, sc.Tier2Pages
+	apps := []string{"MultiVectorAdd", "Srad"}
+	runs := make([]func(context.Context) ([]byte, error), len(apps))
+	for i, app := range apps {
+		_, run, err := s.buildSim(&SimRequest{App: app, Scale: &sc, Config: &cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		runs[i] = run
+	}
+	for i, run := range runs {
+		job := func() {
+			if _, err := run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		job()
+		runtime.ReadMemStats(&after)
+		objects := testing.AllocsPerRun(5, job)
+		if kb := float64(after.TotalAlloc-before.TotalAlloc) / 1024; objects > 8 || kb > 16 {
+			t.Errorf("%s: a warm sim job allocated %.0f objects and %.1f KB, want <= 8 and <= 16", apps[i], objects, kb)
+		}
 	}
 }

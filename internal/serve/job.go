@@ -193,11 +193,36 @@ func (s *Server) buildJob(reqCtx context.Context, req *SubmitRequest) (*job, err
 // record per warp, so unbounded client JSON could ask a worker for
 // gigabytes. The limits sit far above every committed workload (the
 // defaults are T1 1024, T2 4096, OSF 2 and 256 warps).
+//
+// A sim job's sampling and prefetch knobs are bounded too, because the
+// buffers they grow live in the worker's pooled runner after the job:
+//   - PrefetchDegree ≤ 64, 16× the extension study's 4. Each demand
+//     fill queues up to this many prefetch reads, and their fetch
+//     records stay in the runner's pools.
+//   - SampleTarget ≤ 2^20, about 52× the paper's 20000. The reuse
+//     sampler's distance tracker grows with every access it observes
+//     before reaching the target, and the runner keeps it.
+//   - SampleBatch ≤ 2^20, the target's bound (the paper's batch is
+//     4000): a batch beyond the target publishes only at the target.
+//   - HistorySample is 0 (off) or in [64, 2^24]. The warmup study's
+//     smallest interval is len(trace)/30, 136 on MultiVectorAdd at
+//     quick scale; the floor caps a job at one snapshot per 64
+//     accesses, and the runner keeps the snapshot buffer. A longer
+//     interval only records fewer snapshots, so the 2^24 ceiling, far
+//     above warmup's intervals (a few thousand accesses at default
+//     scale), only gives the field a stated range.
+//
+// Negative values are refused rather than read as zero.
 const (
 	maxTierPages       = 1 << 16
 	maxOversubscribe   = 64
 	maxWorkingSetPages = 1 << 18
 	maxWarps           = 1 << 16
+	maxPrefetchDegree  = 64
+	maxSampleTarget    = 1 << 20
+	maxSampleBatch     = 1 << 20
+	minHistorySample   = 64
+	maxHistorySample   = 1 << 24
 )
 
 // checkScale rejects a dataset scale outside the job size limits,
@@ -211,6 +236,23 @@ func checkScale(t1, t2 int, osf float64) error {
 	case osf*float64(t1+t2) > maxWorkingSetPages:
 		return fmt.Errorf("scale: working set osf × (t1 + t2) = %g pages exceeds the limit of %d",
 			osf*float64(t1+t2), maxWorkingSetPages)
+	}
+	return nil
+}
+
+// checkKnobs rejects a sim config whose prefetch or sampling knobs are
+// negative or outside the job size limits.
+func checkKnobs(cfg gmt.Config) error {
+	switch {
+	case cfg.PrefetchDegree < 0 || cfg.PrefetchDegree > maxPrefetchDegree:
+		return fmt.Errorf("invalid config: PrefetchDegree must be in [0, %d] (got %d)", maxPrefetchDegree, cfg.PrefetchDegree)
+	case cfg.SampleTarget < 0 || cfg.SampleTarget > maxSampleTarget:
+		return fmt.Errorf("invalid config: SampleTarget must be in [0, %d] (got %d)", maxSampleTarget, cfg.SampleTarget)
+	case cfg.SampleBatch < 0 || cfg.SampleBatch > maxSampleBatch:
+		return fmt.Errorf("invalid config: SampleBatch must be in [0, %d] (got %d)", maxSampleBatch, cfg.SampleBatch)
+	case cfg.HistorySample != 0 && (cfg.HistorySample < minHistorySample || cfg.HistorySample > maxHistorySample):
+		return fmt.Errorf("invalid config: HistorySample must be 0 or in [%d, %d] (got %d)",
+			minHistorySample, maxHistorySample, cfg.HistorySample)
 	}
 	return nil
 }
@@ -319,6 +361,9 @@ func (s *Server) buildSim(req *SimRequest) (string, func(context.Context) ([]byt
 			"invalid config: Tier1Pages and Tier2Pages must be <= %d, Warps <= %d (got %d, %d, %d)",
 			maxTierPages, maxWarps, cfg.Tier1Pages, cfg.Tier2Pages, cfg.Warps)
 	}
+	if err := checkKnobs(cfg); err != nil {
+		return "", nil, err
+	}
 	var app string
 	names := append(gmt.WorkloadNames(), workload.KVServeName)
 	for _, name := range names {
@@ -344,8 +389,9 @@ func (s *Server) buildSim(req *SimRequest) (string, func(context.Context) ([]byt
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		// The data root supplies the workload and its memoized trace;
-		// the run is exactly gmt.Run's on a fresh workload.
+		// The data root supplies the workload and its memoized trace,
+		// and a pooled runner runs it; the run is exactly gmt.Run's on
+		// a fresh workload.
 		s.mu.Lock()
 		root := s.dataRootLocked(workload.Scale(scale))
 		s.mu.Unlock()
@@ -359,13 +405,18 @@ func (s *Server) buildSim(req *SimRequest) (string, func(context.Context) ([]byt
 			}
 		}
 		tr := root.Trace(w)
-		trace := make([]gmt.Access, len(tr))
-		for i, a := range tr {
-			trace[i] = gmt.Access{Page: int64(a.Page), Write: a.Write}
+		r := s.acquireRunner()
+		if cap(r.trace) < len(tr) {
+			r.trace = make([]gmt.Access, len(tr))
 		}
-		res := gmt.RunTrace(cfg, app, trace)
+		r.trace = r.trace[:len(tr)]
+		for i, a := range tr {
+			r.trace[i] = gmt.Access{Page: int64(a.Page), Write: a.Write}
+		}
+		res := r.RunTrace(cfg, app, r.trace)
 		s.mu.Lock()
 		s.met.simRuns++
+		s.releaseRunnerLocked(r)
 		s.mu.Unlock()
 		data, err := json.MarshalIndent(res, "", "  ")
 		if err != nil {

@@ -22,6 +22,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/gmtsim/gmt"
 	"github.com/gmtsim/gmt/internal/exp"
 	"github.com/gmtsim/gmt/internal/workload"
 )
@@ -89,9 +90,10 @@ type Server struct {
 	queue     chan *job
 	jobs      map[string]*job // by id (ids are derived from keys)
 	byKey     map[string]*job
-	doneOrder []string // ids in completion order, for cache eviction
-	roots     suiteLRU // data roots, by dataset scale (dataRootLocked)
-	suites    suiteLRU // per-seed experiment suites (suiteFor)
+	doneOrder []string     // ids in completion order, for cache eviction
+	roots     suiteLRU     // data roots, by dataset scale (dataRootLocked)
+	suites    suiteLRU     // per-seed experiment suites (suiteFor)
+	runners   []*simRunner // idle sim runners, at most one per worker
 	draining  bool
 	inflight  int
 	met       metrics
@@ -247,6 +249,38 @@ func (s *Server) suiteFor(sc workload.Scale, seed int64) *exp.Suite {
 		s.met.evictedSims += sims
 	}
 	return suite
+}
+
+// simRunner runs sim jobs: a gmt.Runner, whose engine and runtime a
+// job recycles, and the buffer the job copies its data root's trace
+// into. Both keep the capacity of the largest job they ran.
+type simRunner struct {
+	gmt.Runner
+	trace []gmt.Access
+}
+
+// acquireRunner takes an idle runner from the pool, or builds one.
+func (s *Server) acquireRunner() *simRunner {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := len(s.runners)
+	if n == 0 {
+		return new(simRunner)
+	}
+	r := s.runners[n-1]
+	s.runners[n-1] = nil
+	s.runners = s.runners[:n-1]
+	return r
+}
+
+// releaseRunnerLocked returns a runner whose job completed to the pool,
+// which holds at most one runner per worker. A job that panics never
+// returns its runner, so the pool only holds runners that finished a
+// run. Called with s.mu held.
+func (s *Server) releaseRunnerLocked(r *simRunner) {
+	if len(s.runners) < s.opts.Workers {
+		s.runners = append(s.runners, r)
+	}
 }
 
 // simulationsTotal sums executed simulations across every suite, the

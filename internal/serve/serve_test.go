@@ -405,11 +405,22 @@ var invalidSubmissions = []string{
 	`{"kind":"sim","sim":{"app":"BFS","scale":{"Tier1Pages":1024,"Tier2Pages":4096}}}`,
 	`{"kind":"sim","sim":{"app":"BFS","scale":{"Tier1Pages":1024,"Tier2Pages":4096,"Oversubscription":-2}}}`,
 	`{"kind":"sim","sim":{"app":"BFS","scale":{"Tier1Pages":-1,"Tier2Pages":4096,"Oversubscription":2}}}`,
+	`{"kind":"sim","sim":{"app":"BFS","config":{"PrefetchDegree":-1}}}`,
+	`{"kind":"sim","sim":{"app":"BFS","config":{"PrefetchDegree":65}}}`,
+	`{"kind":"sim","sim":{"app":"BFS","config":{"SampleTarget":-1}}}`,
+	`{"kind":"sim","sim":{"app":"BFS","config":{"SampleTarget":1048577}}}`,
+	`{"kind":"sim","sim":{"app":"BFS","config":{"SampleBatch":-4000}}}`,
+	`{"kind":"sim","sim":{"app":"BFS","config":{"SampleBatch":1048577}}}`,
+	`{"kind":"sim","sim":{"app":"BFS","config":{"HistorySample":-1}}}`,
+	`{"kind":"sim","sim":{"app":"BFS","config":{"HistorySample":1}}}`,
+	`{"kind":"sim","sim":{"app":"BFS","config":{"HistorySample":63}}}`,
+	`{"kind":"sim","sim":{"app":"BFS","config":{"HistorySample":16777217}}}`,
 }
 
 // TestSubmitValidation: every malformed or out-of-range submission is
-// a 400 that admits no job. Fleet sizes, dataset scales, tier sizes and
-// warp counts come from client JSON, so values beyond the size limits
+// a 400 that admits no job. Fleet sizes, dataset scales, tier sizes,
+// warp counts and a sim job's prefetch and sampling knobs come from
+// client JSON, so negative values and values beyond the size limits
 // are refused at submit, before anything they would materialize is
 // built; the stubbed executor keeps a wrongly admitted job from
 // running.
@@ -441,7 +452,9 @@ func TestSubmitValidation(t *testing.T) {
 // refused (400) or admitted (202), and an admitted experiment or sim job
 // resolves within the job size limits: tiers of at most 65536 pages, a
 // finite OSF in (0, 64], a working set of at most 262144 pages and at
-// most 65536 warps. Zero request fields resolve as the API documents
+// most 65536 warps; a sim config's PrefetchDegree in [0, 64],
+// SampleTarget and SampleBatch in [0, 1048576], and HistorySample 0 or
+// in [64, 16777216]. Zero request fields resolve as the API documents
 // (gmtbench's defaults, quick quarters the tiers; a sim config inherits
 // the scale's tiers and the default warps).
 func FuzzSubmitValidation(f *testing.F) {
@@ -452,6 +465,8 @@ func FuzzSubmitValidation(f *testing.F) {
 	f.Add(`{"kind":"experiment","experiment":{"name":"fig8","t1":60000,"t2":4000,"osf":4}}`)
 	f.Add(`{"kind":"sim","sim":{"app":"BFS","config":{"Warps":65536}}}`)
 	f.Add(`{"kind":"sim","sim":{"app":"BFS","scale":{"Tier1Pages":512,"Tier2Pages":2048,"Oversubscription":0.5}}}`)
+	f.Add(`{"kind":"sim","sim":{"app":"BFS","config":{"PrefetchDegree":64,"SampleTarget":1048576,"SampleBatch":1048576,"HistorySample":64}}}`)
+	f.Add(`{"kind":"sim","sim":{"app":"BFS","config":{"HistorySample":16777216}}}`)
 	f.Fuzz(func(t *testing.T, body string) {
 		s := New(Options{Workers: 1, QueueDepth: 1})
 		s.exec = func(j *job) ([]byte, error) { return nil, fmt.Errorf("job %s admitted", j.id) }
@@ -511,6 +526,13 @@ func FuzzSubmitValidation(f *testing.F) {
 			if cfg.Tier1Pages > 65536 || cfg.Tier2Pages > 65536 || cfg.Warps > 65536 {
 				t.Fatalf("admitted %q with config tiers %d/%d and %d warps",
 					body, cfg.Tier1Pages, cfg.Tier2Pages, cfg.Warps)
+			}
+			if cfg.PrefetchDegree < 0 || cfg.PrefetchDegree > 64 ||
+				cfg.SampleTarget < 0 || cfg.SampleTarget > 1048576 ||
+				cfg.SampleBatch < 0 || cfg.SampleBatch > 1048576 ||
+				cfg.HistorySample != 0 && (cfg.HistorySample < 64 || cfg.HistorySample > 16777216) {
+				t.Fatalf("admitted %q with PrefetchDegree %d, SampleTarget %d, SampleBatch %d, HistorySample %d",
+					body, cfg.PrefetchDegree, cfg.SampleTarget, cfg.SampleBatch, cfg.HistorySample)
 			}
 		}
 	})

@@ -65,8 +65,7 @@ func (g *GraphSet) build() {
 		if ef < 1 {
 			ef = 1
 		}
-		edges := graph.GenerateKron(scale, ef, g.seed)
-		g.csr = graph.BuildCSR(int32(v), edges)
+		g.csr = graph.KronCSR(scale, ef, g.seed)
 		g.offsetPages = (v + 1 + elemsPerPage - 1) / elemsPerPage
 		g.valuePages = (v + elemsPerPage - 1) / elemsPerPage
 		g.edgePages = (int64(g.csr.M()) + elemsPerPage - 1) / elemsPerPage

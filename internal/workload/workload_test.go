@@ -1,9 +1,15 @@
 package workload
 
 import (
+	"math/bits"
+	"runtime"
+	"slices"
 	"testing"
 
 	"github.com/gmtsim/gmt/internal/gpu"
+	"github.com/gmtsim/gmt/internal/graph"
+	"github.com/gmtsim/gmt/internal/invariant"
+	"github.com/gmtsim/gmt/internal/raceflag"
 )
 
 // testScale keeps unit tests fast while preserving every capacity ratio.
@@ -222,6 +228,45 @@ func TestGraphSetLayout(t *testing.T) {
 	// Regions must not overlap: offsets < values < edges in page space.
 	if gs.valuePage(0) != gs.OffsetPages() || gs.edgePage(0) != gs.OffsetPages()+gs.ValuePages() {
 		t.Fatal("page regions overlap")
+	}
+}
+
+// TestGraphSetMatchesBuildCSR: a GraphSet's graph is BuildCSR over
+// GenerateKron at the set's scale and edge factor, for tiny through
+// quick-scale working sets and several dataset seeds.
+func TestGraphSetMatchesBuildCSR(t *testing.T) {
+	for _, sc := range []Scale{
+		{Tier1Pages: 4, Tier2Pages: 16, Oversubscription: 2},
+		{Tier1Pages: 64, Tier2Pages: 256, Oversubscription: 2},
+		{Tier1Pages: 64, Tier2Pages: 256, Oversubscription: 3},
+		testScale(),
+	} {
+		for _, seed := range []int64{42, 7} {
+			c := NewGraphSet(sc, seed).CSR()
+			scale := bits.TrailingZeros32(uint32(c.N))
+			want := graph.BuildCSR(c.N, graph.GenerateKron(scale, c.M()/int(c.N), seed))
+			if !slices.Equal(c.Offsets, want.Offsets) || !slices.Equal(c.Dst, want.Dst) || !slices.Equal(c.Weight, want.Weight) {
+				t.Fatalf("%+v, seed %d: GraphSet's CSR differs from BuildCSR(GenerateKron)", sc, seed)
+			}
+		}
+	}
+}
+
+// TestGraphSetAllocGate: building the quick-scale graph (2^16 vertices,
+// 524288 edges) allocates at most 9 MB — the packed edges (4.2 MB) and
+// the CSR (4.7 MB) — where an edge list plus the sorted copy BuildCSR
+// takes came to 17.3 MB.
+func TestGraphSetAllocGate(t *testing.T) {
+	if raceflag.Enabled || invariant.Enabled {
+		t.Skip("allocation gates run on the default build only")
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	gs := NewGraphSet(testScale(), 42)
+	gs.CSR()
+	runtime.ReadMemStats(&after)
+	if mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6; mb > 9 {
+		t.Errorf("quick-scale graph build allocated %.1f MB, want <= 9", mb)
 	}
 }
 
