@@ -293,21 +293,38 @@ func BenchmarkEvictStorm(b *testing.B) {
 // BenchmarkEvictStorm: once warm, neither a clean miss (fetch + evict)
 // nor a dirty write miss (fetch + dirty eviction + write-back) may
 // allocate — covering both GMT policies' miss pipelines end to end.
+// Each input queues burst misses before one drain: single misses,
+// alternating clean and dirty, and BenchmarkEvictStorm's storm of 256
+// write misses, which runs the dirty-eviction cascade with many fills
+// in flight.
 func TestMissPathAllocGate(t *testing.T) {
 	if raceflag.Enabled || invariant.Enabled {
 		t.Skip("allocation gates run on the default build only")
 	}
+	inputs := []struct {
+		name       string
+		burst      int // misses queued before one drain
+		writeEvery int // every writeEvery-th miss is a write
+		runs       int
+	}{
+		{"miss", 1, 2, 500},
+		{"storm", 256, 1, 50},
+	}
 	for _, p := range []core.PolicyKind{core.PolicyReuse, core.PolicyTierOrder} {
-		eng := sim.NewEngine()
-		rt := warmMissTorture(eng, p)
-		i := 0
-		n := testing.AllocsPerRun(500, func() {
-			rt.Access(gpu.Access{Page: tier.PageID(i % 512), Write: i%2 == 0}, noopDone, nil, 0)
-			eng.Run()
-			i++
-		})
-		if n != 0 {
-			t.Errorf("%v: steady-state miss path = %.1f allocs/op, want 0", p, n)
+		for _, in := range inputs {
+			eng := sim.NewEngine()
+			rt := warmMissTorture(eng, p)
+			i := 0
+			n := testing.AllocsPerRun(in.runs, func() {
+				for j := 0; j < in.burst; j++ {
+					rt.Access(gpu.Access{Page: tier.PageID(i % 512), Write: i%in.writeEvery == 0}, noopDone, nil, 0)
+					i++
+				}
+				eng.Run()
+			})
+			if n != 0 {
+				t.Errorf("%v %s: steady-state miss path = %.1f allocs/op, want 0", p, in.name, n)
+			}
 		}
 	}
 }

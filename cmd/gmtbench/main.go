@@ -25,20 +25,6 @@
 //	             (default GOMAXPROCS; 1 = fully sequential). Output is
 //	             byte-identical for any N: workers only fill the result
 //	             memo, rendering then replays the same sequential reads.
-//	-benchjson P write a machine-readable benchmark report (schema
-//	             gmt-bench-suite/v1: per-experiment wall clock and
-//	             allocation deltas, prewarm job/hit counts, estimated
-//	             speedup vs sequential) to P
-//	-microbench  also run the in-process microbenchmarks (SingleRun,
-//	             PerAccessHit, AccessBatch, MissPath, EvictStorm) and attach them to the report under
-//	             "microbench"; exits 1 when a hit- or miss-path bench
-//	             breaks its 0 allocs/op gate
-//	-comparebench P  compare this run's report against a committed
-//	             gmt-bench-suite/v1 baseline at P and exit 1 on
-//	             regression (wall clock beyond 1.25x + 100ms slack,
-//	             allocation count beyond +1% + 10k objects; with
-//	             -microbench also allocs/op above baseline or ns/op
-//	             beyond 2x baseline)
 //	-cpuprofile P  write a CPU profile (pprof) to P
 //	-memprofile P  write an allocation profile (pprof) to P
 //	-trace P       write a runtime execution trace to P
@@ -55,7 +41,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -72,83 +57,10 @@ import (
 	"github.com/gmtsim/gmt/internal/workload"
 )
 
-// benchReport is the -benchjson output (schema gmt-bench-suite/v1).
-type benchReport struct {
-	Schema          string            `json:"schema"`
-	Scale           workload.Scale    `json:"scale"`
-	Parallel        int               `json:"parallel"`
-	Prewarm         *benchPrewarm     `json:"prewarm,omitempty"`
-	Experiments     []benchExperiment `json:"experiments"`
-	Micro           []benchMicro      `json:"microbench,omitempty"`
-	TotalWallMS     float64           `json:"total_wall_ms"`
-	EstSequentialMS float64           `json:"est_sequential_ms"`
-	SpeedupVsSeq    float64           `json:"speedup_vs_sequential"`
-}
-
-type benchPrewarm struct {
-	Workers   int     `json:"workers"`
-	Jobs      int     `json:"jobs"`
-	Sims      int64   `json:"simulations"`
-	CacheHits int64   `json:"cache_hits"`
-	BusyMS    float64 `json:"busy_ms"`
-	WallMS    float64 `json:"wall_ms"`
-	// WorkerBusyMS is each pool worker's summed job time (len ==
-	// workers): a skewed profile exposes a long-tail job pinning one
-	// worker while the rest drained the queue and idled.
-	WorkerBusyMS []float64    `json:"worker_busy_ms"`
-	Phases       []benchPhase `json:"phases"`
-	benchMem
-}
-
-// benchMem is the allocation and GC accounting attached to each phase
-// of the v1 report: bytes and objects allocated during the phase
-// (deltas of runtime.MemStats.TotalAlloc/Mallocs), live heap at its
-// end, and the GC work the phase induced (deltas of PauseTotalNs and
-// NumGC). gc_pauses_ns is the collector-pressure twin of mallocs: an
-// allocation-heavy phase shows up in both, and the zero-alloc pipeline
-// work is visible as both numbers collapsing together.
-type benchMem struct {
-	AllocBytes   uint64 `json:"alloc_bytes"`
-	Mallocs      uint64 `json:"mallocs"`
-	HeapAllocEnd uint64 `json:"heap_alloc_end_bytes"`
-	GCPausesNS   uint64 `json:"gc_pauses_ns"`
-	NumGC        uint32 `json:"num_gc"`
-}
-
-// measureMem runs fn and reports its allocation, heap, and GC deltas.
-func measureMem(fn func()) benchMem {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	fn()
-	runtime.ReadMemStats(&after)
-	return benchMem{
-		AllocBytes:   after.TotalAlloc - before.TotalAlloc,
-		Mallocs:      after.Mallocs - before.Mallocs,
-		HeapAllocEnd: after.HeapAlloc,
-		GCPausesNS:   after.PauseTotalNs - before.PauseTotalNs,
-		NumGC:        after.NumGC - before.NumGC,
-	}
-}
-
-type benchPhase struct {
-	Name   string  `json:"name"`
-	Jobs   int     `json:"jobs"`
-	WallMS float64 `json:"wall_ms"`
-}
-
-type benchExperiment struct {
-	Name   string  `json:"name"`
-	WallMS float64 `json:"wall_ms"`
-	benchMem
-}
-
-func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
 // workerFairness renders the pool's per-worker busy profile for the
-// human-readable output (the JSON report carries the same data as
-// worker_busy_ms). Skew is max/min busy time — the at-a-glance signal
-// that a long-tail job pinned one worker while the rest idled. Empty
-// for a single-worker pool, where there is nothing to compare.
+// human-readable output. Skew is max/min busy time — the at-a-glance
+// signal that a long-tail job pinned one worker while the rest idled.
+// Empty for a single-worker pool, where there is nothing to compare.
 func workerFairness(busyNS []int64) string {
 	if len(busyNS) < 2 {
 		return ""
@@ -173,32 +85,6 @@ func workerFairness(busyNS []int64) string {
 	return b.String()
 }
 
-// finalizeReport fills the derived fields of a v1 report from its
-// measured parts. The sequential estimate is every experiment's wall
-// time plus the prewarm pool's busy time (all jobs back to back on one
-// worker); the parallel time it is compared against is the prewarm
-// wall time plus the same rendering pass. Harness overhead outside
-// those two — microbenchmarks, report encoding, flag setup — appears
-// in total_wall_ms but must not dilute speedup_vs_sequential: both
-// modes pay it equally, so it says nothing about the pool.
-func finalizeReport(rep *benchReport) {
-	var renderMS float64
-	for _, e := range rep.Experiments {
-		renderMS += e.WallMS
-	}
-	rep.EstSequentialMS = renderMS
-	parallelMS := renderMS
-	if rep.Prewarm != nil {
-		rep.EstSequentialMS += rep.Prewarm.BusyMS
-		parallelMS += rep.Prewarm.WallMS
-	}
-	if parallelMS > 0 {
-		rep.SpeedupVsSeq = rep.EstSequentialMS / parallelMS
-	} else {
-		rep.SpeedupVsSeq = 1
-	}
-}
-
 func main() {
 	t1 := flag.Int("t1", 1024, "Tier-1 capacity in 64 KiB pages")
 	t2 := flag.Int("t2", 4096, "Tier-2 capacity in 64 KiB pages")
@@ -209,12 +95,6 @@ func main() {
 	svgDir := flag.String("svg", "", "directory to write SVG figures into")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
 		"worker goroutines prewarming simulations (1 = sequential)")
-	benchjson := flag.String("benchjson", "",
-		"write a gmt-bench-suite/v1 JSON report to this path")
-	microbench := flag.Bool("microbench", false,
-		"also run the in-process microbenchmarks (SingleRun, PerAccessHit, AccessBatch, MissPath, EvictStorm) and attach them to the report")
-	comparebench := flag.String("comparebench", "",
-		"compare this run against a committed gmt-bench-suite/v1 baseline and exit 1 on regression")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this path")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this path")
 	traceFile := flag.String("trace", "", "write a runtime execution trace to this path")
@@ -308,7 +188,7 @@ func main() {
 
 	// The exp package is banned from reading wall time (the norealtime
 	// analyzer covers everything outside cmd/), so inject a monotonic
-	// clock for the prewarm report.
+	// clock for the prewarm summary.
 	harnessStart := time.Now()
 	clock := func() int64 { return int64(time.Since(harnessStart)) }
 
@@ -330,20 +210,13 @@ func main() {
 		defer cancel()
 	}
 
-	var prewarm *exp.Report
-	var prewarmMem benchMem
 	if (*parallel > 1 || *timeout > 0) && needsSuite {
-		var rep exp.Report
-		var perr error
-		prewarmMem = measureMem(func() {
-			rep, perr = exp.Prewarm(ctx, getSuite(), experiments, *parallel, clock)
-		})
-		if perr != nil {
+		rep, err := exp.Prewarm(ctx, getSuite(), experiments, *parallel, clock)
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "gmtbench: prewarm aborted after %d jobs: %v\n",
-				rep.JobsPlanned, perr)
+				rep.JobsPlanned, err)
 			os.Exit(1)
 		}
-		prewarm = &rep
 		if !*jsonOut {
 			fmt.Printf("prewarmed %d jobs on %d workers: %d simulations, %d memo hits [%v]\n",
 				rep.JobsPlanned, rep.Workers, rep.Sims, rep.CacheHits,
@@ -359,102 +232,18 @@ func main() {
 	if *svgDir != "" {
 		svgSink = writeSVG
 	}
-	var timings []benchExperiment
-	execute := func(name string) {
+	for _, name := range experiments {
 		start := time.Now()
-		var rows interface{}
-		var text string
-		mem := measureMem(func() { rows, text, _ = exp.RunExperiment(getSuite, name, svgSink) })
-		timings = append(timings, benchExperiment{
-			Name: name, WallMS: ms(time.Since(start)), benchMem: mem,
-		})
+		rows, text, _ := exp.RunExperiment(getSuite, name, svgSink)
 		if *jsonOut {
 			if err := exp.EncodeExperiment(os.Stdout, name, rows); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}
-			return
+			continue
 		}
 		fmt.Println(text)
 		fmt.Printf("[%s completed in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
-	}
-
-	for _, name := range experiments {
-		execute(name)
-	}
-
-	var micro []benchMicro
-	if *microbench {
-		micro = runMicrobench()
-		if !*jsonOut {
-			for _, m := range micro {
-				fmt.Printf("microbench %-14s %12.1f ns/op %8d B/op %6d allocs/op\n",
-					m.Name, m.NsPerOp, m.BytesPerOp, m.AllocsPerOp)
-			}
-			fmt.Println()
-		}
-		if errs := microGate(micro); len(errs) > 0 {
-			for _, e := range errs {
-				fmt.Fprintf(os.Stderr, "gmtbench: microbench gate: %v\n", e)
-			}
-			os.Exit(1)
-		}
-	}
-
-	if *benchjson != "" || *comparebench != "" {
-		rep := benchReport{
-			Schema:      "gmt-bench-suite/v1",
-			Scale:       scale,
-			Parallel:    *parallel,
-			Experiments: timings,
-			TotalWallMS: ms(time.Since(harnessStart)),
-		}
-		if prewarm != nil {
-			bp := &benchPrewarm{
-				Workers:   prewarm.Workers,
-				Jobs:      prewarm.JobsPlanned,
-				Sims:      prewarm.Sims,
-				CacheHits: prewarm.CacheHits,
-				BusyMS:    float64(prewarm.BusyNS) / 1e6,
-				WallMS:    float64(prewarm.WallNS) / 1e6,
-				benchMem:  prewarmMem,
-			}
-			for _, ns := range prewarm.WorkerBusyNS {
-				bp.WorkerBusyMS = append(bp.WorkerBusyMS, float64(ns)/1e6)
-			}
-			for _, ph := range prewarm.Phases {
-				bp.Phases = append(bp.Phases, benchPhase{
-					Name: ph.Name, Jobs: ph.Jobs, WallMS: float64(ph.WallNS) / 1e6,
-				})
-			}
-			rep.Prewarm = bp
-		}
-		finalizeReport(&rep)
-		rep.Micro = micro
-		if *benchjson != "" {
-			data, err := json.MarshalIndent(rep, "", "  ")
-			if err == nil {
-				err = os.WriteFile(*benchjson, append(data, '\n'), 0o644)
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			if !*jsonOut {
-				fmt.Printf("wrote %s\n", *benchjson)
-			}
-		}
-		if *comparebench != "" {
-			if errs := compareBench(*comparebench, rep); len(errs) > 0 {
-				for _, e := range errs {
-					fmt.Fprintf(os.Stderr, "gmtbench: regression: %v\n", e)
-				}
-				os.Exit(1)
-			}
-			if !*jsonOut {
-				fmt.Printf("no benchmark regressions vs %s\n", *comparebench)
-			}
-		}
 	}
 
 	if *cpuprofile != "" {

@@ -557,9 +557,8 @@ func newTier2(cfg Config) tier.Store {
 // tracker, and the runtime's own random stream, reseeded from cfg.Seed.
 // exp's worker pool, fleet's per-template units and gmt.Runner recycle
 // runtimes through this; the contract is byte-identical
-// output versus a fresh runtime, pinned by the recycled-vs-fresh
-// differential test and enforced at suite scale by gmtbench
-// -comparebench.
+// output versus a fresh runtime, pinned by TestResetMatchesFresh and,
+// at suite scale, by TestQuickGoldens in internal/exp.
 //
 // Devices and tier structures whose shape cfg changes (different drive
 // config, lane count, capacities, or Tier-2 policy) are rebuilt rather

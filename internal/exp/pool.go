@@ -14,27 +14,18 @@ import (
 // byte-identical to a sequential run regardless of worker count or
 // scheduling order.
 
-// PhaseReport summarizes one executed phase of a prewarm.
-type PhaseReport struct {
-	Name   string
-	Jobs   int
-	WallNS int64
-}
-
 // Report summarizes a Prewarm invocation.
 type Report struct {
 	Workers     int
 	JobsPlanned int
 	Sims        int64 // simulations/traces executed by prewarm jobs
 	CacheHits   int64 // memo hits observed during prewarm
-	BusyNS      int64 // summed per-job wall time across workers
 	WallNS      int64 // end-to-end prewarm wall time
-	Phases      []PhaseReport
 
 	// WorkerBusyNS is each worker's summed job time across all phases
 	// (len == Workers). A skewed profile means a long-tail job pinned one
 	// worker while the rest idled — the pool-utilization signal gmtbench
-	// surfaces as worker_busy_ms.
+	// prints as its "worker busy" line.
 	WorkerBusyNS []int64
 }
 
@@ -80,15 +71,8 @@ func Prewarm(ctx context.Context, s *Suite, experiments []string, workers int, c
 		if len(jobs) == 0 {
 			continue
 		}
-		phaseStart := clock()
-		busy, jerr := runJobs(ctx, jobs, workers, clock, rep.WorkerBusyNS)
-		rep.BusyNS += busy
-		rep.Phases = append(rep.Phases, PhaseReport{
-			Name: ph.Name, Jobs: len(jobs), WallNS: clock() - phaseStart,
-		})
 		rep.JobsPlanned += len(jobs)
-		if jerr != nil {
-			err = jerr
+		if _, err = runJobs(ctx, jobs, workers, clock, rep.WorkerBusyNS); err != nil {
 			break
 		}
 	}

@@ -281,6 +281,13 @@ func (s *Server) buildExperiment(req *ExperimentRequest) (string, func(context.C
 	if err := checkScale(scale.Tier1Pages, scale.Tier2Pages, scale.Oversubscription); err != nil {
 		return "", nil, err
 	}
+	// No paper scale has an empty tier. Quick quarters the tiers after
+	// the defaults fill in, so a quick t1 or t2 below 4 would reach the
+	// runtime as 0 pages and fail the job after admission.
+	if scale.Tier1Pages < 1 || scale.Tier2Pages < 1 {
+		return "", nil, fmt.Errorf("scale: experiment tiers must be >= 1 page after quick quartering (got t1=%d, t2=%d)",
+			scale.Tier1Pages, scale.Tier2Pages)
+	}
 	scale.DatasetSeed = req.DatasetSeed
 	seed := req.Seed
 	if seed == 0 {

@@ -415,6 +415,8 @@ var invalidSubmissions = []string{
 	`{"kind":"sim","sim":{"app":"BFS","config":{"HistorySample":1}}}`,
 	`{"kind":"sim","sim":{"app":"BFS","config":{"HistorySample":63}}}`,
 	`{"kind":"sim","sim":{"app":"BFS","config":{"HistorySample":16777217}}}`,
+	`{"kind":"experiment","experiment":{"name":"fig8","t1":3,"quick":true}}`,
+	`{"kind":"experiment","experiment":{"name":"fig8","t2":3,"quick":true}}`,
 }
 
 // TestSubmitValidation: every malformed or out-of-range submission is
@@ -505,6 +507,9 @@ func FuzzSubmitValidation(f *testing.F) {
 				sc.Tier2Pages /= 4
 			}
 			within("scale", sc.Tier1Pages, sc.Tier2Pages, sc.Oversubscription)
+			if sc.Tier1Pages < 1 || sc.Tier2Pages < 1 {
+				t.Fatalf("admitted %q with an empty tier: t1=%d t2=%d", body, sc.Tier1Pages, sc.Tier2Pages)
+			}
 		case "sim":
 			sc, cfg := gmt.DefaultScale(), gmt.DefaultConfig()
 			if req.Sim.Scale != nil {
