@@ -90,7 +90,7 @@ func BenchmarkSingleRun(b *testing.B) {
 }
 
 // TestSingleRunAllocGate is the CI gate behind BenchmarkSingleRun: one
-// complete Figure 8-scale simulation allocates at most 172 objects. The
+// complete Figure 8-scale simulation allocates at most 169 objects. The
 // budget scales with the footprint (arena chunks, device buffers), not
 // with the access count, so a per-access or per-miss allocation on any
 // path breaks it by thousands. The count is averaged over 20 runs:
@@ -105,8 +105,8 @@ func TestSingleRunAllocGate(t *testing.T) {
 	cfg.Policy = core.PolicyReuse
 	cfg.Tier1Pages = scale.Tier1Pages
 	cfg.Tier2Pages = scale.Tier2Pages
-	if n := testing.AllocsPerRun(20, func() { runCore(cfg, trace) }); n > 172 {
-		t.Errorf("one Figure 8-scale run = %.0f allocs, want <= 172", n)
+	if n := testing.AllocsPerRun(20, func() { runCore(cfg, trace) }); n > 169 {
+		t.Errorf("one Figure 8-scale run = %.0f allocs, want <= 169", n)
 	}
 }
 
@@ -158,9 +158,9 @@ func TestRecycledRunAllocGate(t *testing.T) {
 func noopDone(any, int64) {}
 
 // warmResident builds a runtime with every footprint page resident in
-// Tier-1 and quiescent — the steady state the hit benchmarks replay
-// against — plus a reusable batch of hitting accesses over it.
-func warmResident(eng *sim.Engine) (*core.Runtime, []gpu.Access) {
+// Tier-1 and quiescent: the steady state the hit benchmark and gate
+// replay against.
+func warmResident(eng *sim.Engine) *core.Runtime {
 	cfg := core.DefaultConfig()
 	cfg.Policy = core.PolicyBaM
 	cfg.Tier1Pages = 256
@@ -170,64 +170,20 @@ func warmResident(eng *sim.Engine) (*core.Runtime, []gpu.Access) {
 		rt.Access(gpu.Access{Page: tier.PageID(p)}, noopDone, nil, 0)
 	}
 	eng.Run()
-	batch := make([]gpu.Access, 512)
-	for i := range batch {
-		batch[i] = gpu.Access{Page: tier.PageID(i % 128)}
-	}
-	return rt, batch
+	return rt
 }
 
-// BenchmarkPerAccessHit measures the steady-state per-access cost of a
-// Tier-1 hit the way the GPU now pays it: hitting warps consume whole
-// leading hit runs through AccessBatch — one bounds check and residency
-// probe per page, counters folded in once per batch — so ns/op here is
-// the amortized per-access cost on the batched path. Steady state is 0
-// allocs/op. (BenchmarkAccessBatch measures the same path per call;
-// TestAccessBatchAllocGate gates it and TestPerAccessAllocGate covers
-// the scalar fallback.)
+// BenchmarkPerAccessHit measures the steady-state cost of one Tier-1
+// hit: a resident Runtime.Access, the call a hitting warp makes per
+// access. Steady state is 0 allocs/op, gated by TestPerAccessAllocGate.
 func BenchmarkPerAccessHit(b *testing.B) {
-	rt, batch := warmResident(sim.NewEngine())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for done := 0; done < b.N; {
-		n := rt.AccessBatch(batch, len(batch))
-		if n != len(batch) {
-			b.Fatalf("batch broke after %d of %d resident accesses", n, len(batch))
-		}
-		done += n
-	}
-}
-
-// BenchmarkAccessBatch measures one AccessBatch call over a full
-// 512-access resident batch — the per-call cost a hitting warp pays for
-// a whole run, including the batch-level counter fold. 0 allocs/op.
-func BenchmarkAccessBatch(b *testing.B) {
-	rt, batch := warmResident(sim.NewEngine())
+	rt := warmResident(sim.NewEngine())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if n := rt.AccessBatch(batch, len(batch)); n != len(batch) {
-			b.Fatalf("batch broke after %d of %d resident accesses", n, len(batch))
+		if !rt.Access(gpu.Access{Page: tier.PageID(i % 128)}, noopDone, nil, 0) {
+			b.Fatal("resident access did not complete inline")
 		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(batch)), "ns/access")
-}
-
-// TestAccessBatchAllocGate is the CI gate behind BenchmarkPerAccessHit
-// and BenchmarkAccessBatch: one AccessBatch call over a resident
-// 512-access batch consumes the whole batch and allocates nothing.
-func TestAccessBatchAllocGate(t *testing.T) {
-	if raceflag.Enabled || invariant.Enabled {
-		t.Skip("allocation gates run on the default build only")
-	}
-	rt, batch := warmResident(sim.NewEngine())
-	n := testing.AllocsPerRun(500, func() {
-		if got := rt.AccessBatch(batch, len(batch)); got != len(batch) {
-			t.Fatalf("batch broke after %d of %d resident accesses", got, len(batch))
-		}
-	})
-	if n != 0 {
-		t.Errorf("steady-state AccessBatch = %.1f allocs/op, want 0", n)
 	}
 }
 
@@ -329,23 +285,15 @@ func TestMissPathAllocGate(t *testing.T) {
 	}
 }
 
-// TestPerAccessAllocGate gates the scalar hit path: once all pages are
-// resident, Runtime.Access through tier bookkeeping performs zero
-// allocations.
+// TestPerAccessAllocGate is the CI gate behind BenchmarkPerAccessHit:
+// once all pages are resident, Runtime.Access through tier bookkeeping
+// performs zero allocations.
 func TestPerAccessAllocGate(t *testing.T) {
 	if raceflag.Enabled || invariant.Enabled {
 		t.Skip("allocation gates run on the default build only")
 	}
 	eng := sim.NewEngine()
-	cfg := core.DefaultConfig()
-	cfg.Policy = core.PolicyBaM
-	cfg.Tier1Pages = 256
-	cfg.FootprintPages = 128
-	rt := core.NewRuntime(eng, cfg)
-	for p := 0; p < 128; p++ {
-		rt.Access(gpu.Access{Page: tier.PageID(p)}, noopDone, nil, 0)
-	}
-	eng.Run()
+	rt := warmResident(eng)
 	i := 0
 	n := testing.AllocsPerRun(500, func() {
 		if !rt.Access(gpu.Access{Page: tier.PageID(i % 128), Write: i%7 == 0}, noopDone, nil, 0) {

@@ -9,7 +9,7 @@
 // Flags:
 //
 //	-app NAME      application (Table 2 name; default Srad)
-//	-policy NAME   bam | tierorder | random | reuse | hmm (default reuse)
+//	-policy NAME   bam | tierorder | random | reuse | oracle | hmm (default reuse)
 //	-t1, -t2       tier capacities in pages
 //	-osf F         oversubscription factor
 //	-warps N       concurrent warps
@@ -28,7 +28,7 @@ import (
 
 func main() {
 	app := flag.String("app", "Srad", "application name")
-	policy := flag.String("policy", "reuse", "bam|tierorder|random|reuse|hmm")
+	policy := flag.String("policy", "reuse", "bam|tierorder|random|reuse|oracle|hmm")
 	t1 := flag.Int("t1", 1024, "Tier-1 pages")
 	t2 := flag.Int("t2", 4096, "Tier-2 pages")
 	osf := flag.Float64("osf", 2, "oversubscription factor")

@@ -26,10 +26,6 @@ func (q queued) Access(a gpu.Access, call sim.EventFunc, ctx any, arg int64) boo
 	return false
 }
 
-// scalar hides a manager's AccessBatch, so hits stream inline one access
-// at a time. Batch replay must be observationally identical to it.
-type scalar struct{ gpu.MemoryManager }
-
 // fastPathTrace mixes Tier-1 hits on a hot set, capacity misses from a
 // scan over a footprint twice the Tier-1 size, writes, and kernel-wide
 // barriers.
@@ -50,9 +46,8 @@ func fastPathTrace(n int) []gpu.Access {
 
 // TestFastPathMatchesQueuedPath runs every policy's full runtime stack,
 // and HMM with and without its block prefetcher and forced hit rate,
-// three ways — as launched (batched hit replay where the manager offers
-// it), scalar inline hits, and queued; wall time and the entire metrics
-// snapshot must be identical across all three.
+// two ways — inline hit streaks and queued; wall time and the entire
+// metrics snapshot must be identical.
 func TestFastPathMatchesQueuedPath(t *testing.T) {
 	type manager interface {
 		gpu.MemoryManager
@@ -91,11 +86,8 @@ func TestFastPathMatchesQueuedPath(t *testing.T) {
 			eng := sim.NewEngine()
 			m := c.build(eng)
 			var mm gpu.MemoryManager = m
-			switch mode {
-			case "queued":
+			if mode == "queued" {
 				mm = queued{m}
-			case "scalar":
-				mm = scalar{m}
 			}
 			gcfg := gpu.DefaultConfig()
 			gcfg.Warps = 32
@@ -107,18 +99,16 @@ func TestFastPathMatchesQueuedPath(t *testing.T) {
 			}
 			return eng.Now(), m.Snapshot()
 		}
-		lnow, lm := run("launched")
-		if lm.Tier1Hits == 0 || lm.Tier1Hits == lm.Accesses {
-			t.Fatalf("%s: trace lacks hits or misses: %+v", c.name, lm)
+		inow, im := run("inline")
+		if im.Tier1Hits == 0 || im.Tier1Hits == im.Accesses {
+			t.Fatalf("%s: trace lacks hits or misses: %+v", c.name, im)
 		}
-		for _, mode := range []string{"scalar", "queued"} {
-			mnow, mm := run(mode)
-			if lnow != mnow {
-				t.Errorf("%s: wall time: launched %d, %s %d", c.name, lnow, mode, mnow)
-			}
-			if lm != mm {
-				t.Errorf("%s: metrics diverged:\nlaunched: %+v\n%s: %+v", c.name, lm, mode, mm)
-			}
+		qnow, qm := run("queued")
+		if inow != qnow {
+			t.Errorf("%s: wall time: inline %d, queued %d", c.name, inow, qnow)
+		}
+		if im != qm {
+			t.Errorf("%s: metrics diverged:\ninline: %+v\nqueued: %+v", c.name, im, qm)
 		}
 	}
 }

@@ -12,10 +12,9 @@ import (
 )
 
 // fuzzTrace derives a random access sequence from rng: a hot set for
-// long Tier-1 hit streaks (the batch path's bread and butter), uniform
-// cold traffic for misses and evictions, occasional writes (dirty-bit
-// replay) and kernel-wide barriers (negative-ID sentinels the batch
-// scan must refuse).
+// long Tier-1 hit streaks, uniform cold traffic for misses and
+// evictions, occasional writes (dirty-bit tracking) and kernel-wide
+// barriers (which break a streak and park the warp).
 func fuzzTrace(rng *rand.Rand, n, footprint int) []gpu.Access {
 	hot := footprint / 8
 	if hot < 4 {
@@ -41,13 +40,14 @@ func fuzzTrace(rng *rand.Rand, n, footprint int) []gpu.Access {
 	return tr
 }
 
-// diffBatchScalar runs one randomly-derived configuration through the
-// full runtime twice — once with batched hit replay, once with the
-// batch interface hidden so the GPU falls back to scalar Access calls —
-// and requires identical final clocks, identical dispatched-event
-// counts (the batch path must preserve the event schedule exactly, per
-// the determinism contract), and an identical metrics snapshot.
-func diffBatchScalar(t *testing.T, seed int64) {
+// diffInlineQueued runs one randomly-derived configuration through the
+// full runtime twice — once with inline hit streaks, once through the
+// queued reference wrapper that resumes every hit by a continuation
+// event — and requires identical final clocks and an identical metrics
+// snapshot (the scheduler determinism contract, HACKING.md). Dispatched
+// event counts differ by design: the queued path dispatches one event
+// per hit.
+func diffInlineQueued(t *testing.T, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	pol := []core.PolicyKind{core.PolicyBaM, core.PolicyTierOrder, core.PolicyReuse}[rng.Intn(3)]
@@ -56,7 +56,7 @@ func diffBatchScalar(t *testing.T, seed int64) {
 	warps := 1 << rng.Intn(6)
 	trace := fuzzTrace(rng, 2000+rng.Intn(2000), foot)
 
-	run := func(noBatch bool) (sim.Time, int64, stats.Run) {
+	run := func(queue bool) (sim.Time, stats.Run) {
 		eng := sim.NewEngine()
 		cfg := core.DefaultConfig()
 		cfg.Policy = pol
@@ -64,8 +64,8 @@ func diffBatchScalar(t *testing.T, seed int64) {
 		cfg.FootprintPages = foot
 		rt := core.NewRuntime(eng, cfg)
 		var mm gpu.MemoryManager = rt
-		if noBatch {
-			mm = scalar{rt}
+		if queue {
+			mm = queued{rt}
 		}
 		gcfg := gpu.DefaultConfig()
 		gcfg.Warps = warps
@@ -76,42 +76,38 @@ func diffBatchScalar(t *testing.T, seed int64) {
 			t.Fatalf("seed %d (%v, t1=%d, foot=%d, warps=%d): kernel did not finish",
 				seed, pol, t1, foot, warps)
 		}
-		return eng.Now(), eng.Steps(), rt.Snapshot()
+		return eng.Now(), rt.Snapshot()
 	}
 
-	bnow, bsteps, bm := run(false)
-	snow, ssteps, sm := run(true)
-	if bnow != snow {
-		t.Errorf("seed %d (%v, t1=%d, foot=%d, warps=%d): wall time: batch %d, scalar %d",
-			seed, pol, t1, foot, warps, bnow, snow)
+	inow, im := run(false)
+	qnow, qm := run(true)
+	if inow != qnow {
+		t.Errorf("seed %d (%v, t1=%d, foot=%d, warps=%d): wall time: inline %d, queued %d",
+			seed, pol, t1, foot, warps, inow, qnow)
 	}
-	if bsteps != ssteps {
-		t.Errorf("seed %d (%v, t1=%d, foot=%d, warps=%d): dispatched events: batch %d, scalar %d",
-			seed, pol, t1, foot, warps, bsteps, ssteps)
-	}
-	if bm != sm {
-		t.Errorf("seed %d (%v, t1=%d, foot=%d, warps=%d): metrics diverged:\nbatch:  %+v\nscalar: %+v",
-			seed, pol, t1, foot, warps, bm, sm)
+	if im != qm {
+		t.Errorf("seed %d (%v, t1=%d, foot=%d, warps=%d): metrics diverged:\ninline: %+v\nqueued: %+v",
+			seed, pol, t1, foot, warps, im, qm)
 	}
 }
 
-// TestBatchScalarDifferential sweeps a fixed seed range so plain
+// TestInlineQueuedDifferential sweeps a fixed seed range so plain
 // `go test` exercises the differential without a fuzzing engine.
-func TestBatchScalarDifferential(t *testing.T) {
+func TestInlineQueuedDifferential(t *testing.T) {
 	n := int64(24)
 	if testing.Short() {
 		n = 6
 	}
 	for seed := int64(1); seed <= n; seed++ {
-		diffBatchScalar(t, seed)
+		diffInlineQueued(t, seed)
 	}
 }
 
-// FuzzBatchScalarEquivalence lets `go test -fuzz` explore seeds beyond
+// FuzzInlineQueuedEquivalence lets `go test -fuzz` explore seeds beyond
 // the fixed sweep; the corpus seeds below run on every plain `go test`.
-func FuzzBatchScalarEquivalence(f *testing.F) {
+func FuzzInlineQueuedEquivalence(f *testing.F) {
 	for seed := int64(100); seed < 108; seed++ {
 		f.Add(seed)
 	}
-	f.Fuzz(diffBatchScalar)
+	f.Fuzz(diffInlineQueued)
 }

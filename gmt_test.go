@@ -186,6 +186,22 @@ func TestOraclePolicyThroughFacade(t *testing.T) {
 	}
 }
 
+// TestEmptyTraceEveryPolicy: a trace with no memory access — none at
+// all, or only barriers — is a zero-length run under every policy,
+// Oracle included (its future is empty, not missing).
+func TestEmptyTraceEveryPolicy(t *testing.T) {
+	barriers := []Access{{Page: barrierPage}, {Page: barrierPage}}
+	for _, p := range policyNames {
+		for _, trace := range [][]Access{nil, barriers} {
+			res := RunTrace(testConfig(p), "empty", trace)
+			if res.Accesses != 0 || res.WallTime != 0 {
+				t.Errorf("%v on %d barriers: %d accesses in %v, want none in 0s",
+					p, len(trace), res.Accesses, res.WallTime)
+			}
+		}
+	}
+}
+
 func TestExtensionKnobsThroughFacade(t *testing.T) {
 	var trace []Access
 	for p := int64(0); p < 2000; p++ {

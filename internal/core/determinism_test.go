@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/rand"
 	"testing"
 
 	"github.com/gmtsim/gmt/internal/gpu"
@@ -18,38 +17,22 @@ func coinTrace(n int) []gpu.Access {
 	return tr
 }
 
-// TestInjectedRNGDeterminism checks the Config.RNG injection point: two
-// runs fed equally-seeded streams are identical, and the injected stream
-// actually drives the coin (different seeds change placement counts).
-func TestInjectedRNGDeterminism(t *testing.T) {
+// TestSeedDeterminism checks that Config.Seed drives the runtime's
+// random stream: two runs with the same seed are identical, and the
+// seed actually drives the coin (different seeds change placement
+// counts).
+func TestSeedDeterminism(t *testing.T) {
 	snap := func(seed int64) interface{} {
 		cfg := smallConfig(PolicyRandom)
-		cfg.RNG = rand.New(rand.NewSource(seed))
+		cfg.Seed = seed
 		rt, _ := run(t, cfg, coinTrace(6000), 8)
 		return rt.Snapshot()
 	}
 	if snap(7) != snap(7) {
-		t.Fatal("same injected RNG seed must reproduce the run exactly")
+		t.Fatal("same seed must reproduce the run exactly")
 	}
 	a, b := snap(7), snap(8)
 	if a == b {
-		t.Fatal("different injected RNG seeds produced identical runs; Config.RNG is not being used")
-	}
-}
-
-// TestSeedMatchesInjectedRNG checks that Config.Seed and an explicitly
-// injected rand.New(rand.NewSource(Seed)) are the same stream: RNG
-// injection must not change behavior, only ownership.
-func TestSeedMatchesInjectedRNG(t *testing.T) {
-	viaSeed := smallConfig(PolicyRandom)
-	viaSeed.Seed = 11
-	rtA, _ := run(t, viaSeed, coinTrace(6000), 8)
-
-	viaRNG := smallConfig(PolicyRandom)
-	viaRNG.RNG = rand.New(rand.NewSource(11))
-	rtB, _ := run(t, viaRNG, coinTrace(6000), 8)
-
-	if rtA.Snapshot() != rtB.Snapshot() {
-		t.Fatal("injected RNG with the config seed must match the Seed-derived stream")
+		t.Fatal("different seeds produced identical runs; Config.Seed is not being used")
 	}
 }

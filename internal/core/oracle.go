@@ -200,7 +200,6 @@ func (rt *Runtime) oracleVictim(store tier.Store, h *oracleHeap) (tier.PageID, *
 func (rt *Runtime) oracleEvict(ready sim.EventFunc, rctx any) {
 	victim, vps := rt.oracleVictim(rt.t1, &rt.t1Heap)
 	rt.t1.Remove(victim)
-	rt.clearT1Page(victim)
 	vps.loc = locSSD
 	if vps.nextUse < 0 {
 		// Dead page: free (or a writeback if dirty).

@@ -16,16 +16,14 @@ import (
 // callers hold *pageState across simulated events (closures capture
 // them), so the backing storage must never move. Chunks are fixed-size
 // arrays appended to as the footprint grows; handed-out pointers stay
-// valid forever. A free list fronts the arena so any state a future
-// caller releases is recycled before the arena grows; the current
-// runtime never releases states (page metadata — predictor history,
-// dirty bits — must outlive residency), so in practice the arena only
-// grows toward the footprint and steady state allocates nothing.
+// valid forever. A state is never released within a run (page
+// metadata — predictor history, dirty bits — must outlive residency),
+// so the arena only grows toward the footprint and steady state
+// allocates nothing.
 type pageDirectory struct {
 	dir    []*pageState
 	chunks [][]pageState
 	cursor int // states carved from the arena (chunk = cursor>>shift)
-	free   []*pageState
 }
 
 // pageChunkSize is the arena growth quantum (structs per chunk).
@@ -86,18 +84,11 @@ func (d *pageDirectory) get(p tier.PageID) *pageState {
 	return d.dir[p]
 }
 
-// alloc hands out a zeroed state: recycled from the free list when one
-// exists, otherwise carved from the arena. The zero pageState is a
-// clean SSD-resident page (locSSD == 0). Carved states are cleared
-// explicitly because a reset directory re-carves storage the previous
-// run dirtied.
+// alloc hands out a zeroed state carved from the arena. The zero
+// pageState is a clean SSD-resident page (locSSD == 0). Carved states
+// are cleared explicitly because a reset directory re-carves storage
+// the previous run dirtied.
 func (d *pageDirectory) alloc() *pageState {
-	if k := len(d.free); k > 0 {
-		ps := d.free[k-1]
-		d.free = d.free[:k-1]
-		*ps = pageState{}
-		return ps
-	}
 	ci, off := d.cursor>>pageChunkShift, d.cursor&(pageChunkSize-1)
 	if ci == len(d.chunks) {
 		d.chunks = append(d.chunks, make([]pageState, pageChunkSize))
@@ -115,7 +106,6 @@ func (d *pageDirectory) reset() {
 	for i := range d.dir {
 		d.dir[i] = nil
 	}
-	d.free = d.free[:0]
 	d.cursor = 0
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/rand"
 	"testing"
 
 	"github.com/gmtsim/gmt/internal/gpu"
@@ -52,9 +51,8 @@ type resetCase struct {
 // in place) and shape-changed (rebuild) — across policies, Tier-2
 // implementations, tier capacities, drive counts, and optional-feature
 // flags; and the state Reset keeps across runs — the Reuse sampler
-// after a longer run and across a BaM run, and the runtime's own random
-// stream after a run on a caller's. Each call builds fresh caller
-// streams, so a fresh reference and the recycled chain draw alike.
+// after a longer run and across a BaM run, and the runtime's random
+// stream reseeded after another Random run.
 func resetCases() []resetCase {
 	trace := warmTailTrace(128, 3000, 512)
 	longTrace := warmTailTrace(128, 12000, 1024)
@@ -108,12 +106,9 @@ func resetCases() []resetCase {
 	longReuse.FootprintPages = 1024
 	longReuse.SampleTarget = 1 << 20
 
-	callerRNG := base()
-	callerRNG.Policy = PolicyRandom
-	callerRNG.RNG = rand.New(rand.NewSource(99))
-	ownRNG := base()
-	ownRNG.Policy = PolicyRandom
-	ownRNG.Seed = 5
+	reseeded := base()
+	reseeded.Policy = PolicyRandom
+	reseeded.Seed = 5
 
 	cases := []resetCase{}
 	for _, cfg := range []Config{bam, tierOrder, random, reuse, reuseAgain, lruk, twoq, smallT1, striped, async} {
@@ -124,8 +119,8 @@ func resetCases() []resetCase {
 		resetCase{reuse, trace}, // a Reuse run after a longer Reuse run
 		resetCase{bam, trace},
 		resetCase{async, trace}, // Reuse → BaM → Reuse
-		resetCase{callerRNG, trace},
-		resetCase{ownRNG, trace}, // own stream after a caller's
+		resetCase{random, trace},
+		resetCase{reseeded, trace}, // the stream reseeded after a Random run
 	)
 }
 

@@ -122,14 +122,6 @@ type Params struct {
 	// Reuse policy's no-history fallback).
 	Seed int64
 
-	// RNG, when non-nil, supplies the runtime's random stream instead of
-	// one derived from Seed. The runtime must own the stream exclusively:
-	// the determinism contract (same seed => bit-identical runs) only
-	// holds when no other component draws from it. Never pass a stream
-	// backed by math/rand's global source — cmd/gmtlint's noglobalrand
-	// analyzer rejects such code.
-	RNG *rand.Rand
-
 	// Tier2Lookup is the critical-path cost of probing the Tier-2
 	// directory on a Tier-1 miss (§3.4: ≈50 ns).
 	Tier2Lookup sim.Time
@@ -363,17 +355,6 @@ type Runtime struct {
 	t1 *tier.Clock
 	t2 tier.Store // nil under PolicyBaM
 
-	// t1page is the SoA residency probe for the batched hit path:
-	// t1page[p] is 0 when p is not Tier-1 resident and the clock slot +1
-	// when it is (maintained at install and both eviction sites). A
-	// batch hit needs one bounds check and one int32 load per page,
-	// never a *pageState dereference.
-	t1page []int32
-	// batchOK gates AccessBatch: false when any per-access side
-	// effect the batch cannot replicate is configured (history
-	// snapshots, prefetch, oracle future tracking).
-	batchOK bool
-
 	dir pageDirectory
 	// reserved counts Tier-1 slots committed to in-flight fetches;
 	// slotWaiters holds fetches stalled because every slot is either
@@ -395,13 +376,13 @@ type Runtime struct {
 	sampler    *reuse.Sampler
 	markov     reuse.Markov
 	classifier reuse.Classifier
-	rng        *rand.Rand
-	// keptSampler and ownRNG survive Reset: the sampler an earlier
-	// Reuse run grew (reset in place, its tracker's capacity kept) and
-	// the stream a run without Config.RNG draws from (reseeded). sampler
-	// and rng point at them for the runs that use them.
+	// rng is the runtime's own random stream, seeded from Config.Seed
+	// and reseeded by Reset.
+	rng *rand.Rand
+	// keptSampler survives Reset: the sampler an earlier Reuse run grew
+	// (reset in place, its tracker's capacity kept). sampler points at
+	// it for the runs that use it.
 	keptSampler *reuse.Sampler
-	ownRNG      *rand.Rand
 	// historySample is cfg.HistorySample pre-widened to int64 so the
 	// per-access modulus needs no conversion; hotAux is true when any
 	// sampling work (history snapshots, the reuse sampler) must run per
@@ -429,7 +410,7 @@ type Runtime struct {
 	reuseNS []int64
 }
 
-var _ gpu.BatchMemoryManager = (*Runtime)(nil)
+var _ gpu.MemoryManager = (*Runtime)(nil)
 
 // NewRuntime builds a runtime (and its devices) on eng.
 func NewRuntime(eng *sim.Engine, cfg Config) *Runtime {
@@ -462,16 +443,12 @@ func checkShape(cfg Config) {
 // and the footprint reservations. NewRuntime and Reset share it.
 func (rt *Runtime) begin(cfg Config) {
 	rt.cfg = cfg
-	rt.rng = cfg.RNG
+	// Seed replays exactly what rand.New(rand.NewSource(cfg.Seed))
+	// would draw.
 	if rt.rng == nil {
-		// Seed replays exactly what rand.New(rand.NewSource(cfg.Seed))
-		// would draw. A caller's stream is never reseeded.
-		if rt.ownRNG == nil {
-			rt.ownRNG = rand.New(rand.NewSource(cfg.Seed))
-		} else {
-			rt.ownRNG.Seed(cfg.Seed)
-		}
-		rt.rng = rt.ownRNG
+		rt.rng = rand.New(rand.NewSource(cfg.Seed))
+	} else {
+		rt.rng.Seed(cfg.Seed)
 	}
 	rt.classifier = reuse.Classifier{
 		Tier1Pages: int64(cfg.Tier1Pages),
@@ -496,7 +473,7 @@ func (rt *Runtime) begin(cfg Config) {
 		clear(rt.recentLong)
 	}
 	if cfg.Policy == PolicyOracle {
-		if len(cfg.Future) == 0 {
+		if cfg.Future == nil {
 			panic("core: PolicyOracle requires Config.Future")
 		}
 		rt.nextOcc = nextOccurrences(cfg.Future)
@@ -507,16 +484,10 @@ func (rt *Runtime) begin(cfg Config) {
 		if rt.t2 != nil {
 			rt.t2.Reserve(cfg.FootprintPages)
 		}
-		// A probe array longer than the footprint is behavior-neutral:
-		// entries beyond it are zero and no trace page reaches them.
-		if len(rt.t1page) < cfg.FootprintPages {
-			rt.t1page = make([]int32, cfg.FootprintPages)
-		}
 	}
 	rt.m.Policy = cfg.Policy.String()
 	rt.historySample = int64(cfg.HistorySample)
 	rt.hotAux = rt.historySample > 0 || rt.sampler != nil
-	rt.batchOK = rt.historySample == 0 && cfg.PrefetchDegree == 0 && rt.nextOcc == nil
 }
 
 // newStorage builds the drive (or striped array) for cfg on eng.
@@ -551,10 +522,10 @@ func newTier2(cfg Config) tier.Store {
 // state NewRuntime(rt.Engine(), cfg) would construct, retaining the
 // large allocations a fresh build would have to repeat: the page
 // directory's state arena and index, the tier residency arrays (when
-// capacities allow), the batch-path probe array, the engine's event
-// arena, every pipeline pool (fetches, placements, waiter nodes, NVMe
-// requests, transfer moves), the Reuse sampler with its distance
-// tracker, and the runtime's own random stream, reseeded from cfg.Seed.
+// capacities allow), the engine's event arena, every pipeline pool
+// (fetches, placements, waiter nodes, NVMe requests, transfer moves),
+// the Reuse sampler with its distance tracker, and the runtime's own
+// random stream, reseeded from cfg.Seed.
 // exp's worker pool, fleet's per-template units and gmt.Runner recycle
 // runtimes through this; the contract is byte-identical
 // output versus a fresh runtime, pinned by TestResetMatchesFresh and,
@@ -601,9 +572,6 @@ func (rt *Runtime) Reset(cfg Config) {
 	}
 
 	rt.dir.reset()
-	for i := range rt.t1page {
-		rt.t1page[i] = 0
-	}
 	rt.reserved = 0
 	for i := range rt.slotWaiters {
 		rt.slotWaiters[i] = slotWait{}
@@ -773,70 +741,6 @@ func (rt *Runtime) Access(a gpu.Access, call sim.EventFunc, ctx any, arg int64) 
 		panic("core: invalid page location")
 	}
 	return false
-}
-
-// AccessBatch implements gpu.BatchMemoryManager: it consumes the
-// leading run of accs (at most max) that are Tier-1 hits, applying
-// exactly the per-access state a run of hitting Access calls would —
-// slot touch, dirty bit on writes, reuse-sampler observation — with the
-// counters (vtd, accesses, hits) applied once per batch. The run stops
-// at the first non-hit: a barrier sentinel, a page outside the Tier-1
-// probe array, or a miss. Whole configurations whose per-access side
-// effects cannot be replayed in bulk (history snapshots, prefetch, the
-// oracle's future cursor) refuse batching outright via batchOK and fall
-// back to Access.
-//
-//gmt:hotpath
-func (rt *Runtime) AccessBatch(accs []gpu.Access, max int) int {
-	if !rt.batchOK {
-		return 0
-	}
-	if invariant.Enabled {
-		invariant.Assert(rt.t1.Len()+rt.reserved <= rt.t1.Capacity(),
-			"core: tier-1 oversubscribed: %d resident + %d reserved > %d slots",
-			rt.t1.Len(), rt.reserved, rt.t1.Capacity())
-		rt.hostLink.CheckInvariants()
-	}
-	if max > len(accs) {
-		max = len(accs)
-	}
-	t1p := rt.t1page
-	dir := rt.dir.dir
-	sampled := rt.sampler != nil
-	n := 0
-	for n < max {
-		a := accs[n]
-		// The unsigned compare rejects negative sentinels (barriers)
-		// along with pages beyond the probe array.
-		if uint64(a.Page) >= uint64(len(t1p)) {
-			break
-		}
-		slot := t1p[a.Page]
-		if slot == 0 {
-			break
-		}
-		if a.Write {
-			var ps *pageState
-			if uint64(a.Page) < uint64(len(dir)) {
-				ps = dir[a.Page]
-			}
-			if ps == nil {
-				break
-			}
-			ps.dirty = true
-		}
-		rt.t1.TouchSlot(slot - 1)
-		if sampled {
-			rt.accessAux(a.Page)
-		}
-		n++
-	}
-	if n > 0 {
-		rt.vtd += int64(n)
-		rt.m.Accesses += int64(n)
-		rt.m.Tier1Hits += int64(n)
-	}
-	return n
 }
 
 // accessAux is the cold sampling tail of the access prefix: metric
@@ -1170,42 +1074,6 @@ func (rt *Runtime) acquireSlot(start sim.EventFunc, ctx any) {
 // slotQueued reports how many fetches are stalled on slot capacity.
 func (rt *Runtime) slotQueued() int { return len(rt.slotWaiters) - rt.slotHead }
 
-// setT1Page records p's clock slot in the batch-path residency probe.
-//
-//gmt:hotpath
-func (rt *Runtime) setT1Page(p tier.PageID, slot int32) {
-	if int64(p) >= int64(len(rt.t1page)) {
-		rt.growT1Page(int64(p) + 1)
-	}
-	rt.t1page[p] = slot + 1
-}
-
-// clearT1Page marks p non-resident in the batch-path probe.
-//
-//gmt:hotpath
-func (rt *Runtime) clearT1Page(p tier.PageID) {
-	if int64(p) < int64(len(rt.t1page)) {
-		rt.t1page[p] = 0
-	}
-}
-
-// growT1Page extends the probe array by doubling, mirroring the page
-// directory's growth so steady state never reallocates.
-//
-//gmt:coldpath
-func (rt *Runtime) growT1Page(n int64) {
-	size := int64(len(rt.t1page))
-	if size < 64 {
-		size = 64
-	}
-	for size < n {
-		size *= 2
-	}
-	nv := make([]int32, size)
-	copy(nv, rt.t1page)
-	rt.t1page = nv
-}
-
 // install completes a fetch: the page enters Tier-1 and all waiters run.
 //
 //gmt:hotpath
@@ -1214,7 +1082,6 @@ func (rt *Runtime) install(p tier.PageID) {
 	rt.reserved--
 	ps.t1slot = rt.t1.InsertSlot(p)
 	ps.loc = locTier1
-	rt.setT1Page(p, ps.t1slot)
 	ps.dirty = ps.pendingDirty
 	ps.pendingDirty = false
 	if rt.nextOcc != nil {
@@ -1263,7 +1130,6 @@ func (rt *Runtime) evictTier1(ready sim.EventFunc, rctx any) {
 		victim, class, trained = rt.chooseReuseVictim(victim)
 	}
 	rt.t1.Remove(victim)
-	rt.clearT1Page(victim)
 	ps := rt.page(victim)
 	ps.loc = locSSD // provisional; placement may move it to Tier-2
 	if rt.cfg.Policy == PolicyReuse {

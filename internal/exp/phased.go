@@ -62,8 +62,8 @@ func (s *Suite) key(w workload.Workload, cfg core.Config, split bool, hmm *basel
 		k.hmm = *hmm
 		return k
 	}
-	if cfg.RNG != nil || cfg.Future != nil {
-		panic("exp: a run draws from its Seed, and an oracle's future is its own trace")
+	if cfg.Future != nil {
+		panic("exp: an oracle's future is its own trace")
 	}
 	k.cfg = core.Canonical(cfg).Params
 	k.split = split && phasedEligible(cfg)

@@ -22,10 +22,6 @@ func (q queued) Access(a Access, call sim.EventFunc, ctx any, arg int64) bool {
 	return false
 }
 
-// scalar hides a manager's AccessBatch, so hits stream inline one
-// access at a time.
-type scalar struct{ MemoryManager }
-
 // mixedManager resolves even pages inline and odd pages after a
 // page-dependent latency, so hit streaks, misses, and barrier arrivals
 // interleave in a nontrivial order.

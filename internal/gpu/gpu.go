@@ -60,27 +60,6 @@ func (s *SliceStream) Next() (Access, bool) {
 	return a, true
 }
 
-// Pending implements BatchStream: the unconsumed tail of the trace.
-func (s *SliceStream) Pending() []Access { return s.Trace[s.pos:] }
-
-// Advance implements BatchStream, consuming n accesses.
-func (s *SliceStream) Advance(n int) { s.pos += n }
-
-// BatchStream is the optional batch extension of Stream: a stream that
-// can expose its unconsumed tail as a slice lets a hitting warp replay
-// whole runs of accesses through AccessBatch without a Next call (and an
-// interface dispatch) per access.
-type BatchStream interface {
-	Stream
-	// Pending reports the not-yet-consumed accesses. The slice is only
-	// valid until the next Next or Advance call, and callers must not
-	// mutate it.
-	Pending() []Access
-	// Advance consumes the first n pending accesses. n must not exceed
-	// len(Pending()).
-	Advance(n int)
-}
-
 // MemoryManager resolves coalesced accesses (BaM, GMT and HMM all
 // implement it). Access returns true when a completed inline at the
 // current virtual time (a Tier-1 hit): the completion is then neither
@@ -93,22 +72,6 @@ type BatchStream interface {
 // miss allocates no closure anywhere on its path.
 type MemoryManager interface {
 	Access(a Access, call sim.EventFunc, ctx any, arg int64) bool
-}
-
-// BatchMemoryManager is the optional batched extension of
-// MemoryManager. AccessBatch consumes a leading run of accs that all
-// complete inline at the current virtual time (Tier-1 hits), returning
-// how many were consumed — at most max. It must stop at the first access
-// it cannot complete inline (a miss, a barrier token, anything needing a
-// completion), consume nothing it cannot account exactly as a sequence
-// of inline Access calls would, and must not schedule events, advance
-// the clock, or otherwise touch the engine: the caller replays the
-// consumed run's timing. A manager may return 0 at any time (the caller
-// falls back to per-access Access), so implementations are free to
-// refuse configurations whose per-access side effects cannot be batched.
-type BatchMemoryManager interface {
-	MemoryManager
-	AccessBatch(accs []Access, max int) int
 }
 
 // Config sizes the execution model.
@@ -131,13 +94,6 @@ type GPU struct {
 	cfg    Config
 	stream Stream
 	mm     MemoryManager
-	// batch/bstream are non-nil when the manager and stream support
-	// batched hit replay and the compute quantum leaves a window to
-	// batch into: a hitting warp then consumes whole leading hit runs
-	// with one AccessBatch call, bounded by the same Peek window the
-	// scalar streak obeys one access at a time.
-	batch   BatchMemoryManager
-	bstream BatchStream
 
 	accesses int64
 	stall    sim.Time
@@ -229,12 +185,6 @@ func (g *GPU) Reset(cfg Config, stream Stream) {
 // Launch schedules all warps at the current virtual time. Run the engine
 // to completion afterwards; Done reports kernel completion.
 func (g *GPU) Launch() {
-	// A zero compute quantum has no window to batch into.
-	if bm, ok := g.mm.(BatchMemoryManager); ok && g.cfg.ComputePerAccess > 0 {
-		if bs, ok := g.stream.(BatchStream); ok {
-			g.batch, g.bstream = bm, bs
-		}
-	}
 	n := g.cfg.Warps
 	if cap(g.warps) < n {
 		g.warps = make([]warp, n)
@@ -259,12 +209,6 @@ func (w *warp) step() {
 		if g.barPending {
 			g.parked = append(g.parked, w)
 			g.checkBarrier()
-			return
-		}
-		// Batched hit replay: consume a whole leading hit run in one
-		// manager call. batching pins this off like the scalar streak (a
-		// barrier batch-mate's continuation would be pending).
-		if g.batch != nil && !g.batching && w.stepBatch() {
 			return
 		}
 		a, ok := g.stream.Next()
@@ -308,67 +252,6 @@ func (w *warp) step() {
 		g.eng.AfterCall(g.cfg.ComputePerAccess, warpStepEvent, w, 0)
 		return
 	}
-}
-
-// stepBatch replays a leading run of Tier-1 hits through the manager's
-// batch path. It reports true when the step is finished (a continuation
-// event was scheduled); false sends the caller to the scalar loop, with
-// the clock already advanced past whatever the batch consumed.
-//
-// Equivalence with the scalar streak: under the queued rules a warp
-// with a pending event at `at` consumes exactly B =
-// max(1, ceil((at-now)/ComputePerAccess)) consecutive hits inline — the
-// k-th hit's compute window ends at now+k*cpa, and the first window
-// that reaches `at` breaks the streak (the tied event was scheduled
-// earlier, so its lower sequence number wins the FIFO tie-break; the
-// first access always issues because issuing itself is instantaneous).
-// The batch consumes j = min(B, leading-hit-run) hits in one call:
-// nothing dispatches in between — the batch schedules nothing and the
-// clock never passes `at` — so no observer can distinguish the bulk
-// update from j scalar iterations.
-//
-//gmt:hotpath
-func (w *warp) stepBatch() bool {
-	g := w.g
-	pend := g.bstream.Pending()
-	if len(pend) == 0 {
-		return false
-	}
-	cpa := g.cfg.ComputePerAccess
-	t0 := g.eng.Now()
-	budget := len(pend)
-	capped := false
-	if at, ok := g.eng.Peek(); ok {
-		b := int64(at-t0+cpa-1) / int64(cpa)
-		if b < 1 {
-			b = 1
-		}
-		if b <= int64(len(pend)) {
-			budget, capped = int(b), true
-		}
-	}
-	j := g.batch.AccessBatch(pend, budget)
-	if j == 0 {
-		return false
-	}
-	g.bstream.Advance(j)
-	g.accesses += int64(j)
-	g.compute += cpa * sim.Time(j)
-	if capped && j == budget {
-		// The run filled the window up to the pending event: the last
-		// hit issues at t0+(j-1)*cpa and its continuation queues behind
-		// the event, exactly like the scalar streak break.
-		if j > 1 {
-			g.eng.AdvanceTo(t0 + cpa*sim.Time(j-1))
-		}
-		g.eng.AfterCall(cpa, warpStepEvent, w, 0)
-		return true
-	}
-	// Streak broken by the access after the run (miss, barrier, or
-	// stream end) before the window filled: advance through the consumed
-	// hits and let the scalar path handle the breaker.
-	g.eng.AdvanceTo(t0 + cpa*sim.Time(j))
-	return false
 }
 
 // accessDone resumes the warp after its in-flight access lands.

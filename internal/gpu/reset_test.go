@@ -8,35 +8,16 @@ import (
 )
 
 // kernelManager misses every fifth page after a page-dependent latency
-// and hits the rest inline, on both paths the GPU detects at Launch:
-// per-access completions and batched hit replay, as core.Runtime offers
-// them.
+// and hits the rest inline.
 type kernelManager struct{ eng *sim.Engine }
 
-func missLatency(a Access) (sim.Time, bool) {
-	return sim.Time(100 + a.Page%7*300), a.Page%5 == 0
-}
-
 func (m kernelManager) Access(a Access, call sim.EventFunc, ctx any, arg int64) bool {
-	if d, miss := missLatency(a); miss {
-		m.eng.AfterCall(d, call, ctx, arg)
+	if a.Page%5 == 0 {
+		m.eng.AfterCall(sim.Time(100+a.Page%7*300), call, ctx, arg)
 		return false
 	}
 	return true
 }
-
-func (m kernelManager) AccessBatch(accs []Access, max int) int {
-	n := 0
-	for n < max && n < len(accs) && !accs[n].IsBarrier() {
-		if _, miss := missLatency(accs[n]); miss {
-			break
-		}
-		n++
-	}
-	return n
-}
-
-var _ BatchMemoryManager = kernelManager{}
 
 // kernelTrace is phases of 3×warps accesses over fresh pages, each
 // phase closed by a barrier.
@@ -57,15 +38,13 @@ func kernelTrace(warps, phases int) []Access {
 // Reset across kernels of 64, 128 and 64 warps — its warp array
 // outgrown once and then reused at a smaller size — must run every
 // kernel exactly like a fresh New on an engine in the same state, on
-// each hit path (batched replay, scalar inline hits, queued
-// continuations).
+// both hit paths (inline hit streaks, queued continuations).
 func TestResetMatchesFresh(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		mm   func(*sim.Engine) MemoryManager
 	}{
-		{"batch", func(e *sim.Engine) MemoryManager { return kernelManager{e} }},
-		{"scalar", func(e *sim.Engine) MemoryManager { return scalar{kernelManager{e}} }},
+		{"inline", func(e *sim.Engine) MemoryManager { return kernelManager{e} }},
 		{"queued", func(e *sim.Engine) MemoryManager { return queued{kernelManager{e}} }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
