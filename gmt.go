@@ -23,6 +23,7 @@ package gmt
 import (
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"github.com/gmtsim/gmt/internal/baseline"
@@ -74,11 +75,10 @@ func (p Policy) String() string {
 	}
 }
 
-// Access is one coalesced 64 KiB-page reference issued by a warp.
-type Access struct {
-	Page  int64
-	Write bool
-}
+// Access is one coalesced 64 KiB-page reference issued by a warp: a
+// Page (int64) and whether the access is a Write. It is the simulator's
+// own access type, so a trace runs as it is, without a copy.
+type Access = gpu.Access
 
 // Workload supplies a named, deterministic page-access trace.
 type Workload interface {
@@ -280,37 +280,29 @@ func RunTrace(cfg Config, name string, trace []Access) Result {
 }
 
 // Runner simulates traces one after another on recycled state: its
-// engine, its GMT runtime with the GPU driving it, and its trace buffer
-// survive each run and are reset in place for the next, so a warm
-// Runner's run allocates nothing that grows with the trace. HMM runs
-// reuse the engine and the buffer only. Every run equals the same run
-// on a fresh Runner. The zero value is ready to use; a Runner is not
-// safe for concurrent use, and one whose run panicked must not be
-// reused.
+// engine and its GMT runtime with the GPU driving it survive each run
+// and are reset in place for the next, so a warm Runner's run allocates
+// nothing that grows with the trace. HMM runs reuse the engine only.
+// A run reads the caller's trace in place and keeps no reference to it
+// after RunTrace returns. Every run equals the same run on a fresh
+// Runner. The zero value is ready to use; a Runner is not safe for
+// concurrent use, and one whose run panicked must not be reused.
 type Runner struct {
 	eng    *sim.Engine
 	rt     *core.Runtime
 	gpu    *gpu.GPU
 	stream gpu.SliceStream
-	trace  []gpu.Access
 }
 
 // RunTrace simulates a custom access trace under cfg.
 func (r *Runner) RunTrace(cfg Config, name string, trace []Access) Result {
-	if cap(r.trace) < len(trace) {
-		// Grown once, at the exact size: append would allocate several
-		// times the final size on the way.
-		r.trace = make([]gpu.Access, len(trace))
-	}
-	r.trace = r.trace[:len(trace)]
 	footprint := 0
-	for i, a := range trace {
-		r.trace[i] = gpu.Access{Page: tier.PageID(a.Page), Write: a.Write}
+	for _, a := range trace {
 		if int(a.Page)+1 > footprint {
 			footprint = int(a.Page) + 1
 		}
 	}
-	r.stream = gpu.SliceStream{Trace: r.trace}
+	r.stream = gpu.SliceStream{Trace: trace}
 	gcfg := gpuConfig(cfg)
 	if r.eng == nil {
 		r.eng = sim.NewEngine()
@@ -324,7 +316,7 @@ func (r *Runner) RunTrace(cfg Config, name string, trace []Access) Result {
 		r.launch(gpu.New(r.eng, gcfg, &r.stream, hm))
 		m = hm.Snapshot()
 	} else {
-		c := coreConfig(cfg, footprint, r.trace)
+		c := coreConfig(cfg, footprint, trace)
 		if r.rt == nil {
 			r.rt = core.NewRuntime(r.eng, c)
 			r.gpu = gpu.New(r.eng, gcfg, &r.stream, r.rt)
@@ -338,6 +330,7 @@ func (r *Runner) RunTrace(cfg Config, name string, trace []Access) Result {
 			history = r.rt.History()
 		}
 	}
+	r.stream = gpu.SliceStream{}
 	m.App = name
 	m.WallTime = r.eng.Now()
 	res := fromStats(m)
@@ -446,13 +439,15 @@ type wrapped struct {
 
 func (w wrapped) Name() string { return w.inner.Name() }
 func (w wrapped) Pages() int64 { return w.inner.Pages() }
+
+// Trace returns a trace the caller owns: KVServe's trace is memoized, so
+// it is copied.
 func (w wrapped) Trace() []Access {
 	tr := w.inner.Trace()
-	out := make([]Access, len(tr))
-	for i, a := range tr {
-		out[i] = Access{Page: int64(a.Page), Write: a.Write}
+	if _, memo := w.inner.(*workload.KVServeWorkload); memo {
+		tr = slices.Clone(tr)
 	}
-	return out
+	return tr
 }
 
 // Suite builds the paper's nine applications (Table 2) at the given
@@ -495,35 +490,14 @@ type Characteristics struct {
 
 // WriteTrace serializes a trace in the line-oriented gmt-trace format
 // ("R <page>" / "W <page>" lines under a "# gmt-trace v1" header).
-func WriteTrace(w io.Writer, trace []Access) error {
-	internal := make([]gpu.Access, len(trace))
-	for i, a := range trace {
-		internal[i] = gpu.Access{Page: tier.PageID(a.Page), Write: a.Write}
-	}
-	return workload.WriteTrace(w, internal)
-}
+func WriteTrace(w io.Writer, trace []Access) error { return workload.WriteTrace(w, trace) }
 
 // ReadTrace parses a trace written by WriteTrace.
-func ReadTrace(r io.Reader) ([]Access, error) {
-	internal, err := workload.ReadTrace(r)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Access, len(internal))
-	for i, a := range internal {
-		out[i] = Access{Page: int64(a.Page), Write: a.Write}
-	}
-	return out, nil
-}
+func ReadTrace(r io.Reader) ([]Access, error) { return workload.ReadTrace(r) }
 
 // Analyze computes workload characteristics against a scale.
 func Analyze(w Workload, s Scale) Characteristics {
-	tr := w.Trace()
-	internalTrace := make([]gpu.Access, len(tr))
-	for i, a := range tr {
-		internalTrace[i] = gpu.Access{Page: tier.PageID(a.Page), Write: a.Write}
-	}
-	a := workload.Analyze(w.Name(), internalTrace, s.internal(), 64*1024, 0)
+	a := workload.Analyze(w.Name(), w.Trace(), s.internal(), 64*1024, 0)
 	c := Characteristics{
 		App:           w.Name(),
 		Accesses:      a.Accesses,

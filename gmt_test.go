@@ -278,3 +278,49 @@ func TestDefaultConfigSane(t *testing.T) {
 		t.Fatalf("compute per access = %v", cfg.ComputePerAccess)
 	}
 }
+
+// TestSeedBlindPolicies pins the table gmtd's sim-job cache key rests on
+// (buildSim in internal/serve): BaM, TierOrder, Oracle and HMM never
+// draw from the seeded stream, so seeds 1–4 give each of the ten
+// quick-scale apps the same Result, and BaM, which has no Tier-2, the
+// same under any Tier-2 size. Random's coin and Reuse's sampling coin
+// do draw, and some app's Result moves with the seed. A new draw in a
+// seed-blind policy fails this test; move the policy out of the key's
+// list before adding one.
+func TestSeedBlindPolicies(t *testing.T) {
+	apps := append(Suite(testScale()), KVServe(testScale()))
+	traces := make([][]Access, len(apps))
+	for i, w := range apps {
+		traces[i] = w.Trace()
+	}
+	var r Runner
+	for _, c := range []struct {
+		p     Policy
+		blind bool
+	}{{BaM, true}, {TierOrder, true}, {Oracle, true}, {HMM, true}, {Random, false}, {Reuse, false}} {
+		moved := 0
+		for i, w := range apps {
+			var first Result
+			for seed := int64(1); seed <= 4; seed++ {
+				cfg := testConfig(c.p)
+				cfg.Seed = seed
+				if c.p == BaM {
+					cfg.Tier2Pages *= int(seed)
+				}
+				res := r.RunTrace(cfg, w.Name(), traces[i])
+				if seed == 1 {
+					first = res
+				} else if !reflect.DeepEqual(res, first) {
+					if c.blind {
+						t.Errorf("%v on %s: seed %d gives a different result from seed 1", c.p, w.Name(), seed)
+					}
+					moved++
+					break
+				}
+			}
+		}
+		if !c.blind && moved == 0 {
+			t.Errorf("%v: no app's result moves with the seed", c.p)
+		}
+	}
+}

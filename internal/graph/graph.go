@@ -10,6 +10,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 )
@@ -106,21 +107,16 @@ func atLeast(x, t int64) int32 {
 	return int32(1 + (x-t)>>63)
 }
 
-// maxPackedScale is the largest scale KronCSR builds: an edge packs into
-// 64 bits as src, dst and weight-1 in scale, scale and 6 bits.
+// maxPackedScale is the largest scale a CSR holds: an edge packs into 64
+// bits as src, dst and weight-1 in scale, scale and 6 bits.
 const maxPackedScale = 29
 
 // KronCSR builds the CSR of GenerateKron(scale, edgeFactor, seed) —
 // equal to BuildCSR over that edge list — without materializing the
-// edge list or a sorted copy. Each edge is drawn straight into its
-// packed form, src<<(scale+6) | dst<<6 | (weight-1), and the packed
-// slice is sorted in place comparing only src and dst. The sort is
-// slices.SortFunc's pdqsort, whose moves depend only on comparison
-// outcomes and the length, so it permutes the edges exactly as
-// BuildCSR's sort does, down to the order of duplicate (src, dst) edges
-// with different weights. The packed form holds scales up to 29
-// (maxPackedScale), and KronCSR panics above that: workload.GraphSet
-// would need a working set above about 42 million pages to get there.
+// edge list: each edge is drawn straight into its packed form. The
+// packed form holds scales up to 29 (maxPackedScale), and KronCSR
+// panics above that: workload.GraphSet would need a working set above
+// about 42 million pages to get there.
 func KronCSR(scale, edgeFactor int, seed int64) *CSR {
 	if scale < 1 || scale > maxPackedScale {
 		panic(fmt.Sprintf("graph: KronCSR packs scales 1..%d, got %d", maxPackedScale, scale))
@@ -131,37 +127,33 @@ func KronCSR(scale, edgeFactor int, seed int64) *CSR {
 		src, dst, w := k.next()
 		packed[i] = pack(scale, src, dst, w)
 	}
-	return packedCSR(scale, packed)
+	return packedCSR(scale, int32(1)<<scale, packed)
 }
 
-// pack encodes one edge of a 2^scale-vertex graph for packedCSR.
-func pack(scale int, src, dst, weight int32) uint64 {
-	return uint64(src)<<(scale+6) | uint64(dst)<<6 | uint64(weight-1)
+// pack encodes one edge of a graph whose vertex IDs fit in bits bits:
+// src<<(bits+6) | dst<<6 | (weight-1).
+func pack(bits int, src, dst, weight int32) uint64 {
+	return uint64(src)<<(bits+6) | uint64(dst)<<6 | uint64(weight-1)
 }
 
-// sortPacked sorts packed edges in place by (src, dst), as BuildCSR
-// sorts edges.
+// sortPacked sorts packed edges in place by (src, dst), comparing only
+// those bits. The sort is slices.SortFunc's pdqsort, whose moves depend
+// only on comparison outcomes and the length, so it permutes the edges
+// exactly as sorting Edge values by (Src, Dst) does, down to the order
+// of duplicate (src, dst) edges with different weights.
 func sortPacked(packed []uint64) {
 	slices.SortFunc(packed, func(a, b uint64) int {
 		return cmp.Compare(a>>6, b>>6)
 	})
 }
 
-// packedCSR sorts packed edges and builds the CSR of a 2^scale-vertex
-// graph from them.
-func packedCSR(scale int, packed []uint64) *CSR {
+// packedCSR sorts an n-vertex graph's packed edges, whose vertex IDs
+// fit in bits bits, and builds the CSR that keeps them.
+func packedCSR(bits int, n int32, packed []uint64) *CSR {
 	sortPacked(packed)
-	n := int32(1) << scale
-	c := &CSR{
-		N:       n,
-		Offsets: make([]int64, n+1),
-		Dst:     make([]int32, len(packed)),
-		Weight:  make([]int32, len(packed)),
-	}
-	for i, e := range packed {
-		c.Offsets[e>>(scale+6)+1]++
-		c.Dst[i] = int32(e>>6) & (n - 1)
-		c.Weight[i] = int32(e&63) + 1
+	c := &CSR{N: n, Offsets: make([]int64, n+1), edges: packed, bits: bits}
+	for _, e := range packed {
+		c.Offsets[e>>(bits+6)+1]++
 	}
 	for v := int32(1); v <= n; v++ {
 		c.Offsets[v] += c.Offsets[v-1]
@@ -169,51 +161,47 @@ func packedCSR(scale int, packed []uint64) *CSR {
 	return c
 }
 
-// CSR is a compressed sparse row adjacency structure.
+// CSR is a compressed sparse row adjacency structure. Its adjacency is
+// the edges themselves, sorted by (source, destination) and packed as
+// pack packs them, so the graph is held once; Dst and Weight read an
+// edge's fields.
 type CSR struct {
 	N       int32
-	Offsets []int64 // len N+1
-	Dst     []int32 // len M
-	Weight  []int32 // len M
+	Offsets []int64 // len N+1: vertex v's edges are [Offsets[v], Offsets[v+1])
+	edges   []uint64
+	bits    int // width of a vertex ID in edges
 }
 
-// BuildCSR sorts edges by source and builds the CSR arrays.
+// BuildCSR sorts edges by (Src, Dst) and builds the CSR of an n-vertex
+// graph from them. It panics unless n is at most 2^29, every endpoint
+// lies in [0, n) and every weight in [1, 64], the range GenerateKron
+// draws.
 func BuildCSR(n int32, edges []Edge) *CSR {
-	sorted := make([]Edge, len(edges))
-	copy(sorted, edges)
-	slices.SortFunc(sorted, func(a, b Edge) int {
-		if c := cmp.Compare(a.Src, b.Src); c != 0 {
-			return c
+	width := bits.Len32(uint32(max(n, 1) - 1))
+	if width > maxPackedScale {
+		panic(fmt.Sprintf("graph: BuildCSR packs up to 2^%d vertices, got %d", maxPackedScale, n))
+	}
+	packed := make([]uint64, len(edges))
+	for i, e := range edges {
+		if uint32(e.Src) >= uint32(n) || uint32(e.Dst) >= uint32(n) || e.Weight < 1 || e.Weight > 64 {
+			panic(fmt.Sprintf("graph: edge %+v out of range for %d vertices and weights 1..64", e, n))
 		}
-		return cmp.Compare(a.Dst, b.Dst)
-	})
-	c := &CSR{
-		N:       n,
-		Offsets: make([]int64, n+1),
-		Dst:     make([]int32, len(sorted)),
-		Weight:  make([]int32, len(sorted)),
+		packed[i] = pack(width, e.Src, e.Dst, e.Weight)
 	}
-	for i, e := range sorted {
-		c.Offsets[e.Src+1]++
-		c.Dst[i] = e.Dst
-		c.Weight[i] = e.Weight
-	}
-	for v := int32(1); v <= n; v++ {
-		c.Offsets[v] += c.Offsets[v-1]
-	}
-	return c
+	return packedCSR(width, n, packed)
 }
 
 // M reports the edge count.
-func (c *CSR) M() int { return len(c.Dst) }
+func (c *CSR) M() int { return len(c.edges) }
 
 // Degree reports vertex v's out-degree.
 func (c *CSR) Degree(v int32) int64 { return c.Offsets[v+1] - c.Offsets[v] }
 
-// Neighbors reports the destination slice for v.
-func (c *CSR) Neighbors(v int32) []int32 {
-	return c.Dst[c.Offsets[v]:c.Offsets[v+1]]
-}
+// Dst reports edge e's destination.
+func (c *CSR) Dst(e int64) int32 { return int32(c.edges[e] >> 6 & (1<<c.bits - 1)) }
+
+// Weight reports edge e's weight.
+func (c *CSR) Weight(e int64) int32 { return int32(c.edges[e]&63) + 1 }
 
 // Unreached marks vertices BFS/SSSP never reached.
 const Unreached = int32(-1)
@@ -229,8 +217,8 @@ func BFS(c *CSR, src int32) []int32 {
 	for depth := int32(1); len(frontier) > 0; depth++ {
 		var next []int32
 		for _, v := range frontier {
-			for _, w := range c.Neighbors(v) {
-				if level[w] == Unreached {
+			for e := c.Offsets[v]; e < c.Offsets[v+1]; e++ {
+				if w := c.Dst(e); level[w] == Unreached {
 					level[w] = depth
 					next = append(next, w)
 				}
@@ -261,8 +249,8 @@ func PageRank(c *CSR, iters int, damping float64) []float64 {
 				continue
 			}
 			share := damping * rank[v] / float64(d)
-			for _, w := range c.Neighbors(v) {
-				next[w] += share
+			for e := c.Offsets[v]; e < c.Offsets[v+1]; e++ {
+				next[c.Dst(e)] += share
 			}
 		}
 		rank, next = next, rank
@@ -285,10 +273,9 @@ func SSSP(c *CSR, src int32) []int64 {
 		var next []int32
 		for _, v := range frontier {
 			inFrontier[v] = false
-			off := c.Offsets[v]
-			for i, w := range c.Neighbors(v) {
-				nd := dist[v] + int64(c.Weight[off+int64(i)])
-				if nd < dist[w] {
+			for e := c.Offsets[v]; e < c.Offsets[v+1]; e++ {
+				w := c.Dst(e)
+				if nd := dist[v] + int64(c.Weight(e)); nd < dist[w] {
 					dist[w] = nd
 					if !inFrontier[w] {
 						inFrontier[w] = true

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -138,9 +139,10 @@ func TestKronCSRMatchesBuildCSR(t *testing.T) {
 // TestPackedBuildDuplicateWeights: on constructed edge lists full of
 // duplicate (src, dst) edges with different weights, at every packable
 // scale, packing round-trips the extreme vertex IDs and weights and the
-// packed sort permutes the edges exactly as BuildCSR's (Src, Dst) sort
-// does. Up to scale 20 the packed CSR is also built and compared with
-// BuildCSR's; a 2^29-vertex CSR is too large to build in a test.
+// packed sort permutes the edges exactly as a (Src, Dst) sort of the
+// Edge values does. Up to scale 20 the CSR is also built and read back
+// through its accessors; a 2^29-vertex CSR is too large to build in a
+// test.
 func TestPackedBuildDuplicateWeights(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for scale := 1; scale <= maxPackedScale; scale++ {
@@ -149,10 +151,6 @@ func TestPackedBuildDuplicateWeights(t *testing.T) {
 		for i, e := range edges {
 			packed[i] = pack(scale, e.Src, e.Dst, e.Weight)
 		}
-		if scale <= 20 && !equalCSR(packedCSR(scale, slices.Clone(packed)), BuildCSR(int32(1)<<scale, edges)) {
-			t.Fatalf("scale %d: packed CSR differs from BuildCSR", scale)
-		}
-		sortPacked(packed)
 		want := slices.Clone(edges)
 		slices.SortFunc(want, func(a, b Edge) int {
 			if c := cmp.Compare(a.Src, b.Src); c != 0 {
@@ -160,6 +158,10 @@ func TestPackedBuildDuplicateWeights(t *testing.T) {
 			}
 			return cmp.Compare(a.Dst, b.Dst)
 		})
+		if scale <= 20 {
+			checkEdges(t, fmt.Sprintf("scale %d", scale), BuildCSR(int32(1)<<scale, edges), want)
+		}
+		sortPacked(packed)
 		mask := uint64(1)<<scale - 1
 		for i, p := range packed {
 			got := Edge{Src: int32(p >> (scale + 6)), Dst: int32(p >> 6 & mask), Weight: int32(p&63) + 1}
@@ -201,8 +203,24 @@ func constructedEdges(rng *rand.Rand, scale, n int) []Edge {
 }
 
 func equalCSR(a, b *CSR) bool {
-	return a.N == b.N && slices.Equal(a.Offsets, b.Offsets) &&
-		slices.Equal(a.Dst, b.Dst) && slices.Equal(a.Weight, b.Weight)
+	return a.N == b.N && a.bits == b.bits && slices.Equal(a.Offsets, b.Offsets) && slices.Equal(a.edges, b.edges)
+}
+
+// checkEdges requires c's edges, read through Offsets, Dst and Weight,
+// to be sorted, an edge list sorted by (Src, Dst).
+func checkEdges(t *testing.T, what string, c *CSR, sorted []Edge) {
+	t.Helper()
+	if c.M() != len(sorted) {
+		t.Fatalf("%s: M = %d, want %d", what, c.M(), len(sorted))
+	}
+	for i, e := range sorted {
+		if got := (Edge{Src: e.Src, Dst: c.Dst(int64(i)), Weight: c.Weight(int64(i))}); got != e {
+			t.Fatalf("%s: edge %d = %+v, want %+v", what, i, got, e)
+		}
+		if c.Offsets[e.Src] > int64(i) || c.Offsets[e.Src+1] <= int64(i) {
+			t.Fatalf("%s: edge %d outside source %d's range %v", what, i, e.Src, c.Offsets[e.Src:e.Src+2])
+		}
+	}
 }
 
 func TestBuildCSRTiny(t *testing.T) {
@@ -215,13 +233,7 @@ func TestBuildCSRTiny(t *testing.T) {
 	if c.Degree(0) != 2 || c.Degree(1) != 1 || c.Degree(2) != 0 || c.Degree(3) != 0 {
 		t.Fatalf("degrees wrong: %v", c.Offsets)
 	}
-	nb := c.Neighbors(0)
-	if len(nb) != 2 || nb[0] != 1 || nb[1] != 2 {
-		t.Fatalf("neighbors(0) = %v", nb)
-	}
-	if c.Weight[c.Offsets[0]] != 2 {
-		t.Fatalf("weight(0->1) = %d, want 2", c.Weight[c.Offsets[0]])
-	}
+	checkEdges(t, "tiny", c, []Edge{{0, 1, 2}, {0, 2, 5}, {1, 2, 1}})
 }
 
 // TestBuildCSRMatchesSortSliceReference pins BuildCSR's edge order —
@@ -244,19 +256,7 @@ func TestBuildCSRMatchesSortSliceReference(t *testing.T) {
 			}
 			return ref[i].Dst < ref[j].Dst
 		})
-		if got.M() != len(ref) {
-			t.Fatalf("%+v: M = %d, want %d", tc, got.M(), len(ref))
-		}
-		for i, e := range ref {
-			if got.Dst[i] != e.Dst || got.Weight[i] != e.Weight {
-				t.Fatalf("%+v: edge %d = (dst %d, w %d), want (dst %d, w %d)",
-					tc, i, got.Dst[i], got.Weight[i], e.Dst, e.Weight)
-			}
-			if got.Offsets[e.Src] > int64(i) || got.Offsets[e.Src+1] <= int64(i) {
-				t.Fatalf("%+v: edge %d outside source %d's range %v",
-					tc, i, e.Src, got.Offsets[e.Src:e.Src+2])
-			}
-		}
+		checkEdges(t, fmt.Sprintf("%+v", tc), got, ref)
 	}
 }
 
@@ -285,8 +285,8 @@ func naiveBFS(c *CSR, src int32) []int32 {
 			if lv[v] == math.MaxInt32 {
 				continue
 			}
-			for _, w := range c.Neighbors(v) {
-				if lv[v]+1 < lv[w] {
+			for e := c.Offsets[v]; e < c.Offsets[v+1]; e++ {
+				if w := c.Dst(e); lv[v]+1 < lv[w] {
 					lv[w] = lv[v] + 1
 					changed = true
 				}
@@ -341,9 +341,8 @@ func naiveSSSP(c *CSR, src int32) []int64 {
 			if d[v] == inf {
 				continue
 			}
-			off := c.Offsets[v]
-			for i, w := range c.Neighbors(v) {
-				if nd := d[v] + int64(c.Weight[off+int64(i)]); nd < d[w] {
+			for e := c.Offsets[v]; e < c.Offsets[v+1]; e++ {
+				if w, nd := c.Dst(e), d[v]+int64(c.Weight(e)); nd < d[w] {
 					d[w] = nd
 				}
 			}

@@ -33,6 +33,16 @@ func NewDistanceTracker() *DistanceTracker {
 	return &DistanceTracker{}
 }
 
+// NewDistanceTrackerFor returns an empty tracker sized for a stream of n
+// accesses over page IDs below pages, so an offline pass over a whole
+// trace never grows its tables.
+func NewDistanceTrackerFor(pages, n int) *DistanceTracker {
+	t := &DistanceTracker{}
+	t.grow(pages - 1)
+	t.bit.grow(n)
+	return t
+}
+
 // Observe records an access to p and reports its VTD and reuse distance.
 // ok is false on the first access to p (no previous access exists).
 func (t *DistanceTracker) Observe(p tier.PageID) (vtd, rd int64, ok bool) {
@@ -119,6 +129,12 @@ func (t *DistanceTracker) grow(p int) {
 // Accesses reports how many accesses have been observed.
 func (t *DistanceTracker) Accesses() int { return t.pos }
 
+// DistinctSince reports how many distinct pages the accesses from
+// position pos through the last one observed touched.
+func (t *DistanceTracker) DistinctSince(pos int) int64 {
+	return t.bit.RangeSum(pos, t.pos-1)
+}
+
 // RangeQuery is a half-open distinct-count question over an access trace:
 // how many distinct pages appear in positions (From, To]?
 type RangeQuery struct {
@@ -126,32 +142,35 @@ type RangeQuery struct {
 }
 
 // DistinctInRanges answers distinct-page counts for many (From, To]
-// windows over trace in O((N+Q) log N). GMT's experiment drivers use it
-// to compute actual Remaining Reuse Distances at Tier-1 eviction points
-// (Figures 4b, 4c, and 7): the RRD of an eviction at position e whose
-// page is next accessed at position n is the distinct count in (e, n].
+// windows over trace in O((N+Q) log N): one sweep of a DistanceTracker
+// sized to the trace, answering each query with DistinctSince at its
+// right end. Queries are chained by right end in two arrays, not a map.
+// It is the offline form of the question workload.Analyze asks online
+// at each evicted page's next access: the RRD of an eviction at
+// position e whose page is next accessed at position n is the distinct
+// count in (e-1, n-1].
 func DistinctInRanges(trace []tier.PageID, queries []RangeQuery) []int64 {
 	ans := make([]int64, len(queries))
-	// Bucket queries by right endpoint.
-	byRight := make(map[int][]int)
+	// head[t] is 1 + the last query ending at t; link[i] is 1 + the
+	// query before i on its chain; 0 ends a chain.
+	head := make([]int32, len(trace))
+	link := make([]int32, len(queries))
 	for i, q := range queries {
 		if q.To >= len(trace) || q.To < 0 {
 			ans[i] = -1
 			continue
 		}
-		byRight[q.To] = append(byRight[q.To], i)
+		link[i], head[q.To] = head[q.To], int32(i+1)
 	}
-	var bit fenwick
-	last := make(map[tier.PageID]int, len(trace)/4+1)
+	pages := 0
+	for _, p := range trace {
+		pages = max(pages, int(p)+1)
+	}
+	tr := NewDistanceTrackerFor(pages, len(trace))
 	for t, p := range trace {
-		if lp, seen := last[p]; seen {
-			bit.Add(lp, -1)
-		}
-		bit.Add(t, 1)
-		last[p] = t
-		for _, qi := range byRight[t] {
-			q := queries[qi]
-			ans[qi] = bit.RangeSum(q.From+1, q.To)
+		tr.Observe(p)
+		for qi := head[t]; qi != 0; qi = link[qi-1] {
+			ans[qi-1] = tr.DistinctSince(queries[qi-1].From + 1)
 		}
 	}
 	return ans

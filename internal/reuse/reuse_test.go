@@ -3,6 +3,7 @@ package reuse
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -158,18 +159,25 @@ func TestDistanceTrackerSimple(t *testing.T) {
 	}
 }
 
+// TestDistinctInRangesMatchesNaive: on random traces, with queries that
+// share right ends and windows opening at the trace's start (From = -1),
+// every answer equals a direct count; an empty trace answers -1 to
+// every query.
 func TestDistinctInRangesMatchesNaive(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		trace := make([]tier.PageID, 200)
+		trace := make([]tier.PageID, 1+rng.Intn(200))
 		for i := range trace {
 			trace[i] = tier.PageID(rng.Intn(25))
 		}
+		n := len(trace)
+		rights := []int{0, n - 1, rng.Intn(n), rng.Intn(n)}
 		var qs []RangeQuery
 		for q := 0; q < 40; q++ {
-			from, to := rng.Intn(200)-1, rng.Intn(200)
-			if from > to {
-				from, to = to, from
+			to := rights[rng.Intn(len(rights))]
+			from := -1
+			if rng.Intn(4) > 0 {
+				from = rng.Intn(to+2) - 1
 			}
 			qs = append(qs, RangeQuery{From: from, To: to})
 		}
@@ -185,8 +193,11 @@ func TestDistinctInRangesMatchesNaive(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+	if got := DistinctInRanges(nil, []RangeQuery{{From: -1, To: 0}, {From: -1, To: -1}}); !slices.Equal(got, []int64{-1, -1}) {
+		t.Errorf("queries over an empty trace = %v, want [-1 -1]", got)
 	}
 }
 

@@ -316,10 +316,10 @@ func TestWorkerPanicFailsJob(t *testing.T) {
 
 // TestSimRunnerAllocGate: a sim job on a warm runner allocates nothing
 // that grows with its trace. The data root's trace is memoized and the
-// runner's buffers already hold the longer trace, so MultiVectorAdd
-// (4095 accesses) and Srad (17216, 4.2× as many) each allocate at most
-// 8 objects and 16 KB — the encoded result. Copying the trace into a
-// fresh runtime on every job cost 200 KB and more.
+// runner reads it in place, so MultiVectorAdd (4095 accesses) and Srad
+// (17216, 4.2× as many) each allocate at most 8 objects and 16 KB — the
+// encoded result. Copying the trace into a fresh runtime on every job
+// cost 200 KB and more.
 func TestSimRunnerAllocGate(t *testing.T) {
 	if raceflag.Enabled || invariant.Enabled {
 		t.Skip("allocation gates run on the default build only")
@@ -354,6 +354,84 @@ func TestSimRunnerAllocGate(t *testing.T) {
 		objects := testing.AllocsPerRun(5, job)
 		if kb := float64(after.TotalAlloc-before.TotalAlloc) / 1024; objects > 8 || kb > 16 {
 			t.Errorf("%s: a warm sim job allocated %.0f objects and %.1f KB, want <= 8 and <= 16", apps[i], objects, kb)
+		}
+	}
+}
+
+// TestColdSimRunnerAllocGate: a cold runner's first job — Srad under
+// GMT-TierOrder, its data root's trace already memoized — allocates at
+// most 512 KB: the engine, runtime and GPU sized to the footprint (443
+// KB measured) and the encoded result. One copy of the 17,216-access
+// trace is 269 KB, and the runner makes none; copying it into a job
+// buffer and again into the runner's own took 987 KB.
+func TestColdSimRunnerAllocGate(t *testing.T) {
+	if raceflag.Enabled || invariant.Enabled {
+		t.Skip("allocation gates run on the default build only")
+	}
+	s := New(Options{Workers: 1})
+	defer s.Drain()
+	sc := gmt.Scale{Tier1Pages: 256, Tier2Pages: 1024, Oversubscription: 2}
+	cfg := gmt.DefaultConfig()
+	cfg.Policy = gmt.TierOrder
+	cfg.Tier1Pages, cfg.Tier2Pages = sc.Tier1Pages, sc.Tier2Pages
+	_, run, err := s.buildSim(&SimRequest{App: "Srad", Scale: &sc, Config: &cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := func() {
+		if _, err := run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	job() // memoizes the trace
+	s.mu.Lock()
+	s.runners = nil
+	s.mu.Unlock()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	job()
+	runtime.ReadMemStats(&after)
+	if kb := float64(after.TotalAlloc-before.TotalAlloc) / 1024; kb > 512 {
+		t.Errorf("a cold runner's Srad job allocated %.1f KB, want <= 512", kb)
+	}
+}
+
+// TestSeedBlindSimJobsShareOneExecution: sim jobs that differ only in
+// what their policy never reads are one job. TierOrder at seeds 1 and
+// 2, and BaM at seeds 1 and 2 with Tier-2 doubled, each execute once
+// and serve the bytes gmt.Run gives the second request; Reuse, whose
+// sampling coin draws from the seeded stream, executes once per seed.
+func TestSeedBlindSimJobsShareOneExecution(t *testing.T) {
+	s := New(Options{Workers: 1, QueueDepth: 8})
+	defer s.Drain()
+	var srad gmt.Workload
+	for _, w := range gmt.Suite(tinyScale) {
+		if w.Name() == "Srad" {
+			srad = w
+		}
+	}
+	for _, c := range []struct {
+		policy gmt.Policy
+		runs   int64
+	}{{gmt.TierOrder, 1}, {gmt.BaM, 1}, {gmt.Reuse, 2}} {
+		before := metricValue(t, s, "gmtd_simulations_total")
+		for _, seed := range []int64{1, 2} {
+			cfg := tinyConfig(c.policy)
+			cfg.Seed = seed
+			if c.policy == gmt.BaM {
+				cfg.Tier2Pages *= int(seed)
+			}
+			_, got := runJob(t, s, simBody(t, "Srad", tinyScale, cfg))
+			want, err := json.MarshalIndent(gmt.Run(cfg, srad), "", "  ")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, append(want, '\n')) {
+				t.Errorf("%v seed %d: served bytes differ from gmt.Run", c.policy, seed)
+			}
+		}
+		if runs := metricValue(t, s, "gmtd_simulations_total") - before; runs != c.runs {
+			t.Errorf("%v at seeds 1 and 2: %d executions, want %d", c.policy, runs, c.runs)
 		}
 	}
 }

@@ -389,16 +389,29 @@ func (s *Server) buildSim(req *SimRequest) (string, func(context.Context) ([]byt
 			return "", nil, err
 		}
 	}
+	// The key leaves out what the run never reads, so configs that
+	// simulate identically share one execution. Only Random's coin and
+	// Reuse's sampling coin draw from the seeded stream; HMM draws only
+	// under a forced hit rate, which a sim job cannot set. BaM has no
+	// Tier-2, as core.Canonical says. The root TestSeedBlindPolicies
+	// pins this table.
+	kcfg := cfg
+	switch cfg.Policy {
+	case gmt.BaM:
+		kcfg.Seed, kcfg.Tier2Pages = 0, 0
+	case gmt.TierOrder, gmt.Oracle, gmt.HMM:
+		kcfg.Seed = 0
+	}
 	key := fmt.Sprintf("sim|%s|t1=%d,t2=%d,osf=%g,dseed=%d|%s",
 		app, scale.Tier1Pages, scale.Tier2Pages, scale.Oversubscription, scale.DatasetSeed,
-		cfg.Fingerprint())
+		kcfg.Fingerprint())
 	run := func(ctx context.Context) ([]byte, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		// The data root supplies the workload and its memoized trace,
-		// and a pooled runner runs it; the run is exactly gmt.Run's on
-		// a fresh workload.
+		// which a pooled runner reads in place; the run is exactly
+		// gmt.Run's on a fresh workload.
 		s.mu.Lock()
 		root := s.dataRootLocked(workload.Scale(scale))
 		s.mu.Unlock()
@@ -411,16 +424,8 @@ func (s *Server) buildSim(req *SimRequest) (string, func(context.Context) ([]byt
 				w = cand
 			}
 		}
-		tr := root.Trace(w)
 		r := s.acquireRunner()
-		if cap(r.trace) < len(tr) {
-			r.trace = make([]gmt.Access, len(tr))
-		}
-		r.trace = r.trace[:len(tr)]
-		for i, a := range tr {
-			r.trace[i] = gmt.Access{Page: int64(a.Page), Write: a.Write}
-		}
-		res := r.RunTrace(cfg, app, r.trace)
+		res := r.RunTrace(cfg, app, root.Trace(w))
 		s.mu.Lock()
 		s.met.simRuns++
 		s.releaseRunnerLocked(r)

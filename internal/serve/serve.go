@@ -90,10 +90,10 @@ type Server struct {
 	queue     chan *job
 	jobs      map[string]*job // by id (ids are derived from keys)
 	byKey     map[string]*job
-	doneOrder []string     // ids in completion order, for cache eviction
-	roots     suiteLRU     // data roots, by dataset scale (dataRootLocked)
-	suites    suiteLRU     // per-seed experiment suites (suiteFor)
-	runners   []*simRunner // idle sim runners, at most one per worker
+	doneOrder []string      // ids in completion order, for cache eviction
+	roots     suiteLRU      // data roots, by dataset scale (dataRootLocked)
+	suites    suiteLRU      // per-seed experiment suites (suiteFor)
+	runners   []*gmt.Runner // idle sim runners, at most one per worker
 	draining  bool
 	inflight  int
 	met       metrics
@@ -251,21 +251,15 @@ func (s *Server) suiteFor(sc workload.Scale, seed int64) *exp.Suite {
 	return suite
 }
 
-// simRunner runs sim jobs: a gmt.Runner, whose engine and runtime a
-// job recycles, and the buffer the job copies its data root's trace
-// into. Both keep the capacity of the largest job they ran.
-type simRunner struct {
-	gmt.Runner
-	trace []gmt.Access
-}
-
-// acquireRunner takes an idle runner from the pool, or builds one.
-func (s *Server) acquireRunner() *simRunner {
+// acquireRunner takes an idle sim runner from the pool, or builds one.
+// A runner's engine and runtime keep the capacity of the largest job
+// they ran; the trace it runs is the data root's, read in place.
+func (s *Server) acquireRunner() *gmt.Runner {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := len(s.runners)
 	if n == 0 {
-		return new(simRunner)
+		return new(gmt.Runner)
 	}
 	r := s.runners[n-1]
 	s.runners[n-1] = nil
@@ -277,7 +271,7 @@ func (s *Server) acquireRunner() *simRunner {
 // which holds at most one runner per worker. A job that panics never
 // returns its runner, so the pool only holds runners that finished a
 // run. Called with s.mu held.
-func (s *Server) releaseRunnerLocked(r *simRunner) {
+func (s *Server) releaseRunnerLocked(r *gmt.Runner) {
 	if len(s.runners) < s.opts.Workers {
 		s.runners = append(s.runners, r)
 	}

@@ -26,8 +26,10 @@ import (
 )
 
 // PageID identifies a 64 KiB page by its index in the application's
-// backing dataset (its "home" location on the SSD).
-type PageID int64
+// backing dataset (its "home" location on the SSD). It is an alias of
+// int64, as sim.Time is, so a trace of page IDs needs no conversion
+// between the packages that read it.
+type PageID = int64
 
 // NoPage is returned by Victim on structures that allow emptiness checks.
 const NoPage PageID = -1

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"math"
-	"sort"
 
 	"github.com/gmtsim/gmt/internal/gpu"
 	"github.com/gmtsim/gmt/internal/reuse"
@@ -86,90 +85,97 @@ type Analysis struct {
 
 // Analyze computes trace characteristics against the given tier sizes.
 // maxPairs bounds the collected (VTD, RD) samples (0 = none). Barrier
-// tokens are stripped first: they synchronize warps but touch no page.
+// tokens synchronize warps but touch no page, so positions count memory
+// accesses only. Page IDs must be dense, as the bounded-page-ID contract
+// requires: the working arrays are indexed by page, and pages and
+// positions are held in 32 bits.
 func Analyze(name string, trace []gpu.Access, s Scale, pageSize int64, maxPairs int) *Analysis {
-	trace = stripBarriers(trace)
+	n, pages := 0, 0
+	for _, acc := range trace {
+		if !acc.IsBarrier() {
+			n++
+			pages = max(pages, int(acc.Page)+1)
+		}
+	}
 	cl := reuse.Classifier{Tier1Pages: int64(s.Tier1Pages), Tier2Pages: int64(s.Tier2Pages)}
 	a := &Analysis{}
 	a.Name = name
-	a.Accesses = int64(len(trace))
+	a.Accesses = int64(n)
 	a.TotalIOBytes = a.Accesses * pageSize
+	a.Characteristics.Pages = int64(pages)
+	if maxPairs > 0 {
+		a.Pairs = make([]PairSample, 0, min(maxPairs, n))
+	}
 
-	// Pass 1: per-page access positions, access-pair distances.
-	positions := make(map[tier.PageID][]int)
-	tr := reuse.NewDistanceTracker()
-	for i, acc := range trace {
-		positions[acc.Page] = append(positions[acc.Page], i)
-		vtd, rd, ok := tr.Observe(acc.Page)
-		if !ok {
-			continue
-		}
-		switch cl.Classify(rd) {
-		case reuse.Short:
-			a.PairShort++
-		case reuse.Medium:
-			a.PairMedium++
-		default:
-			a.PairLong++
-		}
-		if len(a.Pairs) < maxPairs {
-			a.Pairs = append(a.Pairs, PairSample{VTD: vtd, RD: rd})
-		}
-	}
-	a.DistinctPages = int64(len(positions))
-	for _, pos := range positions {
-		if len(pos) > 1 {
-			a.ReusedPages++
-		}
-	}
-	var maxPage tier.PageID = -1
-	for p := range positions {
-		if p > maxPage {
-			maxPage = p
-		}
-	}
-	a.Characteristics.Pages = int64(maxPage) + 1
-
-	// Pass 2: simulate a Tier-1 clock over the trace, recording
-	// evictions, then compute each eviction's actual RRD (distinct
-	// pages between eviction and next access) with the offline tree.
+	// One sweep measures every access pair's distance and runs a Tier-1
+	// clock. A page evicted from the clock stays out of it until its
+	// next access, so it has at most one eviction pending; at that
+	// access the same tree gives the eviction's actual RRD, the distinct
+	// pages from the eviction's position up to the access. An eviction
+	// whose page never returns is dead.
+	tr := reuse.NewDistanceTrackerFor(pages, n)
 	clock := tier.NewClock(s.Tier1Pages)
-	type evict struct {
-		page tier.PageID
-		pos  int
-		next int
-	}
-	var evicts []evict
-	pageTrace := make([]tier.PageID, len(trace))
-	for i, acc := range trace {
-		pageTrace[i] = acc.Page
-		if clock.Contains(acc.Page) {
-			clock.Touch(acc.Page)
+	clock.Reserve(pages)
+	pending := make([]int32, pages) // 1 + the position of the page's pending eviction, or 0
+	reused := make([]bool, pages)
+	// at[i] is the eviction made at position i: its victim and, once
+	// the victim returns, its RRD (at least 1, the page whose miss
+	// evicted it).
+	type eviction struct{ page, rrd int32 }
+	at := make([]eviction, n)
+	evictions, returned := 0, 0
+	i := 0
+	for _, acc := range trace {
+		if acc.IsBarrier() {
 			continue
 		}
-		if clock.Full() {
-			v := clock.Victim()
-			clock.Remove(v)
-			if n := nextAccessAfter(positions[v], i); n >= 0 {
-				evicts = append(evicts, evict{page: v, pos: i, next: n})
-			} else {
-				a.DeadEvictions++
+		p := acc.Page
+		if e := pending[p]; e > 0 {
+			at[e-1].rrd = int32(tr.DistinctSince(int(e - 1)))
+			pending[p] = 0
+			returned++
+		}
+		if vtd, rd, ok := tr.Observe(p); !ok {
+			a.DistinctPages++
+		} else {
+			if !reused[p] {
+				reused[p] = true
+				a.ReusedPages++
+			}
+			switch cl.Classify(rd) {
+			case reuse.Short:
+				a.PairShort++
+			case reuse.Medium:
+				a.PairMedium++
+			default:
+				a.PairLong++
+			}
+			if len(a.Pairs) < maxPairs {
+				a.Pairs = append(a.Pairs, PairSample{VTD: vtd, RD: rd})
 			}
 		}
-		clock.Insert(acc.Page)
+		if clock.Contains(p) {
+			clock.Touch(p)
+		} else {
+			if clock.Full() {
+				v := clock.Victim()
+				clock.Remove(v)
+				pending[v] = int32(i + 1)
+				at[i].page = int32(v)
+				evictions++
+			}
+			clock.Insert(p)
+		}
+		i++
 	}
-	queries := make([]reuse.RangeQuery, len(evicts))
-	for i, e := range evicts {
-		// The window spans from the access that triggered the eviction
-		// (inclusive — it is an access to another page) up to, but not
-		// including, the page's next access.
-		queries[i] = reuse.RangeQuery{From: e.pos - 1, To: e.next - 1}
-	}
-	rrds := reuse.DistinctInRanges(pageTrace, queries)
-	a.Evictions = make([]EvictionRecord, len(evicts))
-	for i, e := range evicts {
-		a.Evictions[i] = EvictionRecord{Page: e.page, Position: e.pos, RRD: rrds[i]}
-		switch cl.Classify(rrds[i]) {
+	a.DeadEvictions = int64(evictions - returned)
+	a.Evictions = make([]EvictionRecord, 0, returned)
+	for pos, e := range at {
+		if e.rrd == 0 {
+			continue
+		}
+		a.Evictions = append(a.Evictions, EvictionRecord{Page: int64(e.page), Position: pos, RRD: int64(e.rrd)})
+		switch cl.Classify(int64(e.rrd)) {
 		case reuse.Short:
 			a.EvictShort++
 		case reuse.Medium:
@@ -179,34 +185,6 @@ func Analyze(name string, trace []gpu.Access, s Scale, pageSize int64, maxPairs 
 		}
 	}
 	return a
-}
-
-// stripBarriers removes gpu.Barrier tokens, returning the input slice
-// unchanged when none are present.
-func stripBarriers(trace []gpu.Access) []gpu.Access {
-	for i, a := range trace {
-		if a.IsBarrier() {
-			out := make([]gpu.Access, 0, len(trace)-1)
-			out = append(out, trace[:i]...)
-			for _, b := range trace[i:] {
-				if !b.IsBarrier() {
-					out = append(out, b)
-				}
-			}
-			return out
-		}
-	}
-	return trace
-}
-
-// nextAccessAfter reports the first position in pos strictly greater
-// than i, or -1.
-func nextAccessAfter(pos []int, i int) int {
-	k := sort.SearchInts(pos, i+1)
-	if k == len(pos) {
-		return -1
-	}
-	return pos[k]
 }
 
 // EvictionSeries groups eviction RRDs per page in eviction order — the

@@ -157,7 +157,7 @@ func (w *PageRankWorkload) Trace() []gpu.Access {
 			for i := int64(0); i < deg; i++ {
 				edges.read(gs.edgePage(off + i))
 				if (off+i)%gatherStride == 0 {
-					b.read(gs.valuePage(c.Dst[off+i]))
+					b.read(gs.valuePage(c.Dst(off + i)))
 				}
 			}
 			if int64(v)%elemsPerPage == 0 {
@@ -165,7 +165,7 @@ func (w *PageRankWorkload) Trace() []gpu.Access {
 			}
 		}
 	}
-	return b.out
+	return b.trace()
 }
 
 // BFSWorkload expands frontiers level by level: each edge page is
@@ -214,7 +214,7 @@ func (w *BFSWorkload) Trace() []gpu.Access {
 			deg := c.Degree(v)
 			for i := int64(0); i < deg; i++ {
 				edges.read(gs.edgePage(off + i))
-				dst := c.Dst[off+i]
+				dst := c.Dst(off + i)
 				if (off+i)%gatherStride == 0 {
 					b.read(gs.valuePage(dst)) // status check gather
 				}
@@ -229,7 +229,7 @@ func (w *BFSWorkload) Trace() []gpu.Access {
 		}
 		frontier = next
 	}
-	return b.out
+	return b.trace()
 }
 
 // SSSPWorkload relaxes frontiers over several Bellman-Ford rounds: edge
@@ -283,11 +283,11 @@ func (w *SSSPWorkload) Trace() []gpu.Access {
 			deg := c.Degree(v)
 			for i := int64(0); i < deg; i++ {
 				edges.read(gs.edgePage(off + i))
-				dst := c.Dst[off+i]
+				dst := c.Dst(off + i)
 				if (off+i)%gatherStride == 0 {
 					b.read(gs.valuePage(dst))
 				}
-				if nd := dist[v] + int64(c.Weight[off+i]); nd < dist[dst] {
+				if nd := dist[v] + int64(c.Weight(off+i)); nd < dist[dst] {
 					dist[dst] = nd
 					if !inFrontier[dst] {
 						inFrontier[dst] = true
@@ -301,7 +301,7 @@ func (w *SSSPWorkload) Trace() []gpu.Access {
 		}
 		frontier = next
 	}
-	return b.out
+	return b.trace()
 }
 
 // ZipfStream is the §2.3 microbenchmark: warps draw page addresses from

@@ -218,7 +218,7 @@ func (w *KVServeWorkload) build() {
 		for _, st := range steps {
 			w.emit(b, &reqs[st.req], st)
 		}
-		w.trace = b.out
+		w.trace = b.trace()
 		w.pages = cursor
 	})
 }

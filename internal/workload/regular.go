@@ -51,7 +51,7 @@ func (m *MultiVectorAdd) Trace() []gpu.Access {
 			b.write(i) // out[i] += in_k[i]
 		}
 	}
-	return b.out
+	return b.trace()
 }
 
 // Pathfinder is Rodinia's dynamic-programming kernel: each row of the
@@ -95,7 +95,7 @@ func (p *Pathfinder) Trace() []gpu.Access {
 			b.write(resultBase + r*p.ResultRowPages + c)
 		}
 	}
-	return b.out
+	return b.trace()
 }
 
 // LavaMD is Rodinia's particle simulation: each box streams its bulk
@@ -137,7 +137,7 @@ func (l *LavaMD) Trace() []gpu.Access {
 			b.read((box - 1) * stride)
 		}
 	}
-	return b.out
+	return b.trace()
 }
 
 // Srad is Rodinia's image diffusion kernel processed in tiles: several
@@ -209,7 +209,7 @@ func (s *Srad) Trace() []gpu.Access {
 			b.write(base + p) // center
 		}
 	}
-	return b.out
+	return b.trace()
 }
 
 // Backprop is Rodinia's neural-network trainer: forward pass through the
@@ -286,7 +286,7 @@ func (bp *Backprop) Trace() []gpu.Access {
 			}
 		}
 	}
-	return b.out
+	return b.trace()
 }
 
 // Hotspot is Rodinia's thermal simulation: every iteration sweeps the
@@ -338,5 +338,5 @@ func (h *Hotspot) Trace() []gpu.Access {
 			b.write(gridBase + p)
 		}
 	}
-	return b.out
+	return b.trace()
 }

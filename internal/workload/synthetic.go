@@ -44,7 +44,7 @@ func (s *Strided) Trace() []gpu.Access {
 			p = (p + s.Stride) % s.NumPages
 		}
 	}
-	return b.out
+	return b.trace()
 }
 
 // UniformRandom draws page IDs uniformly — the adversarial pattern for
@@ -82,7 +82,7 @@ func (u *UniformRandom) Trace() []gpu.Access {
 			b.read(p)
 		}
 	}
-	return b.out
+	return b.trace()
 }
 
 // PointerChase walks a random single-cycle permutation of its pages —
@@ -133,7 +133,7 @@ func (p *PointerChase) Trace() []gpu.Access {
 			cur = next[cur]
 		}
 	}
-	return b.out
+	return b.trace()
 }
 
 var (

@@ -14,8 +14,9 @@
 package workload
 
 import (
+	"slices"
+
 	"github.com/gmtsim/gmt/internal/gpu"
-	"github.com/gmtsim/gmt/internal/tier"
 )
 
 // Scale ties workload sizes to the memory hierarchy under test.
@@ -111,13 +112,36 @@ func Regular(s Scale) []Workload {
 	}
 }
 
-// trace builder shared by the generators.
+// traceBuilder is the generators' emitter. It appends into chunks that
+// double from minChunk to maxChunk accesses and copies them once, in
+// trace, into a slice of exactly the trace's length: growing one slice
+// by append allocates several times its final size on the way.
 type traceBuilder struct {
-	out []gpu.Access
+	full [][]gpu.Access
+	cur  []gpu.Access
 }
 
-func (b *traceBuilder) read(p int64) { b.out = append(b.out, gpu.Access{Page: tier.PageID(p)}) }
-func (b *traceBuilder) write(p int64) {
-	b.out = append(b.out, gpu.Access{Page: tier.PageID(p), Write: true})
+const (
+	minChunk = 4 << 10
+	maxChunk = 64 << 10
+)
+
+func (b *traceBuilder) emit(a gpu.Access) {
+	if len(b.cur) == cap(b.cur) {
+		if b.cur != nil {
+			b.full = append(b.full, b.cur)
+		}
+		b.cur = make([]gpu.Access, 0, min(max(2*cap(b.cur), minChunk), maxChunk))
+	}
+	b.cur = append(b.cur, a)
 }
-func (b *traceBuilder) barrier() { b.out = append(b.out, gpu.Barrier) }
+
+func (b *traceBuilder) read(p int64)  { b.emit(gpu.Access{Page: p}) }
+func (b *traceBuilder) write(p int64) { b.emit(gpu.Access{Page: p, Write: true}) }
+func (b *traceBuilder) barrier()      { b.emit(gpu.Barrier) }
+
+// trace returns everything emitted, in one slice of exactly its length
+// (nil when nothing was).
+func (b *traceBuilder) trace() []gpu.Access {
+	return slices.Concat(append(b.full, b.cur)...)
+}
