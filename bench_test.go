@@ -111,13 +111,14 @@ func TestSingleRunAllocGate(t *testing.T) {
 }
 
 // TestRecycledRunAllocGate: a GMT-Reuse run at Figure 8 scale on a
-// recycled {engine, runtime} pair — Reset, then a fresh GPU for the
-// kernel, as exp runs every simulation — allocates at most 8 objects
-// and 16 KB, whatever the trace length: Reset keeps the Reuse sampler's
-// distance tracker, the backfill window and the runtime's own random
-// stream, so only the GPU and its warp array are new. Regrowing the
-// sampler on every run cost 27–37 objects and 200 KB–1.1 MB, growing
-// with the trace.
+// recycled {engine, runtime, GPU} — Reset, then the kept GPU Reset for
+// the kernel, as exp and gmt.Runner run every simulation — allocates
+// nothing (0 objects and under 1 KB per run, heapAllocs), whatever the
+// trace length: Reset keeps the Reuse sampler's distance tracker, the
+// backfill window and the runtime's own random stream, and the GPU its
+// warp array. A new GPU per run cost 5 objects and 9.5 KB; regrowing
+// the sampler on every run cost 27–37 objects and 200 KB–1.1 MB,
+// growing with the trace.
 func TestRecycledRunAllocGate(t *testing.T) {
 	if raceflag.Enabled || invariant.Enabled {
 		t.Skip("allocation gates run on the default build only")
@@ -132,25 +133,96 @@ func TestRecycledRunAllocGate(t *testing.T) {
 		cfg.Tier1Pages = scale.Tier1Pages
 		cfg.Tier2Pages = scale.Tier2Pages
 		cfg.FootprintPages = int(w.Pages())
-		eng := sim.NewEngine()
-		rt := core.NewRuntime(eng, cfg)
-		run := func() {
-			rt.Reset(cfg)
-			g := gpu.New(eng, gpu.DefaultConfig(), &gpu.SliceStream{Trace: trace}, rt)
-			g.Launch()
-			eng.Run()
-		}
-		run()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		run()
-		runtime.ReadMemStats(&after)
-		objects := testing.AllocsPerRun(10, run)
-		if kb := float64(after.TotalAlloc-before.TotalAlloc) / 1024; objects > 8 || kb > 16 {
-			t.Errorf("%s (%d accesses): a recycled run allocated %.0f objects and %.1f KB, want <= 8 and <= 16",
-				w.Name(), len(trace), objects, kb)
+		u := newRecycledUnit(cfg)
+		if objects, bytes := heapAllocs(10, func() { u.run(cfg, trace) }); objects > 0 || bytes >= 1024 {
+			t.Errorf("%s (%d accesses): a recycled run allocated %d objects and %d bytes, want 0 and under 1 KB",
+				w.Name(), len(trace), objects, bytes)
 		}
 	}
+}
+
+// TestPolicyLapAllocGate: one recycled {engine, runtime, GPU} cycling
+// BaM → TierOrder → Random → Reuse allocates nothing after its first
+// lap (0 objects and under 1 KB per lap, heapAllocs). Reset keeps the last Tier-2 store each policy retired, so the
+// switches take back TierOrder's Clock and the FIFO Random and Reuse
+// share instead of rebuilding them; rebuilding cost 23–24 objects and
+// 120–160 KB a lap.
+func TestPolicyLapAllocGate(t *testing.T) {
+	if raceflag.Enabled || invariant.Enabled {
+		t.Skip("allocation gates run on the default build only")
+	}
+	scale := benchScale()
+	for _, w := range []workload.Workload{workload.NewBackprop(scale), workload.NewSrad(scale)} {
+		trace := w.Trace()
+		var cfgs []core.Config
+		for _, p := range []core.PolicyKind{core.PolicyBaM, core.PolicyTierOrder, core.PolicyRandom, core.PolicyReuse} {
+			cfg := core.DefaultConfig()
+			cfg.Policy = p
+			cfg.Tier1Pages = scale.Tier1Pages
+			cfg.Tier2Pages = scale.Tier2Pages
+			cfg.FootprintPages = int(w.Pages())
+			cfgs = append(cfgs, cfg)
+		}
+		u := newRecycledUnit(cfgs[0])
+		lap := func() {
+			for _, cfg := range cfgs {
+				u.run(cfg, trace)
+			}
+		}
+		if objects, bytes := heapAllocs(5, lap); objects > 0 || bytes >= 1024 {
+			t.Errorf("%s: a BaM → TierOrder → Random → Reuse lap after the first allocated %d objects and %d bytes, want 0 and under 1 KB",
+				w.Name(), objects, bytes)
+		}
+	}
+}
+
+// heapAllocs reports the mean objects and bytes a call of f allocates
+// over runs calls, after one warm-up call, rounded down as
+// testing.AllocsPerRun rounds objects. The runtime's own bookkeeping can
+// land in the window — a mark worker's node, a slot in a timer heap, an
+// OS thread's state — and the rounding keeps those few bytes from
+// failing a zero gate, while an allocation f makes on every call still
+// shows. Like AllocsPerRun it measures on one P, so the scheduler
+// starts no thread mid-run; a collection first starts the collector's
+// mark workers.
+func heapAllocs(runs int, f func()) (objects, bytes uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	n := uint64(runs)
+	return (after.Mallocs - before.Mallocs) / n, (after.TotalAlloc - before.TotalAlloc) / n
+}
+
+// recycledUnit is an engine, runtime and GPU recycled from run to run,
+// as exp's run units and gmt.Runner hold them.
+type recycledUnit struct {
+	eng    *sim.Engine
+	rt     *core.Runtime
+	gpu    *gpu.GPU
+	stream gpu.SliceStream
+}
+
+func newRecycledUnit(cfg core.Config) *recycledUnit {
+	u := &recycledUnit{eng: sim.NewEngine()}
+	u.rt = core.NewRuntime(u.eng, cfg)
+	u.gpu = gpu.New(u.eng, gpu.DefaultConfig(), &u.stream, u.rt)
+	return u
+}
+
+// run resets the unit to cfg and runs trace on it as one kernel.
+func (u *recycledUnit) run(cfg core.Config, trace []gpu.Access) {
+	u.rt.Reset(cfg)
+	u.stream = gpu.SliceStream{Trace: trace}
+	u.gpu.Reset(gpu.DefaultConfig(), &u.stream)
+	u.gpu.Launch()
+	u.eng.Run()
+	u.stream = gpu.SliceStream{}
 }
 
 // noopDone is the completion the manager benchmarks pass: they time the

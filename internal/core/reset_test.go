@@ -51,8 +51,9 @@ type resetCase struct {
 // in place) and shape-changed (rebuild) — across policies, Tier-2
 // implementations, tier capacities, drive counts, and optional-feature
 // flags; and the state Reset keeps across runs — the Reuse sampler
-// after a longer run and across a BaM run, and the runtime's random
-// stream reseeded after another Random run.
+// after a longer run and across a BaM run, the runtime's random stream
+// reseeded after another Random run, and retired Tier-2 stores taken
+// back after a policy or capacity detour.
 func resetCases() []resetCase {
 	trace := warmTailTrace(128, 3000, 512)
 	longTrace := warmTailTrace(128, 12000, 1024)
@@ -110,6 +111,10 @@ func resetCases() []resetCase {
 	reseeded.Policy = PolicyRandom
 	reseeded.Seed = 5
 
+	bigT2 := base()
+	bigT2.Policy = PolicyReuse
+	bigT2.Tier2Pages = 384
+
 	cases := []resetCase{}
 	for _, cfg := range []Config{bam, tierOrder, random, reuse, reuseAgain, lruk, twoq, smallT1, striped, async} {
 		cases = append(cases, resetCase{cfg, trace})
@@ -120,7 +125,10 @@ func resetCases() []resetCase {
 		resetCase{bam, trace},
 		resetCase{async, trace}, // Reuse → BaM → Reuse
 		resetCase{random, trace},
-		resetCase{reseeded, trace}, // the stream reseeded after a Random run
+		resetCase{reseeded, trace},  // the stream reseeded after a Random run
+		resetCase{tierOrder, trace}, // the retired Clock taken back
+		resetCase{bigT2, trace},
+		resetCase{reuse, trace}, // the retired 256-page FIFO taken back
 	)
 }
 
@@ -169,5 +177,72 @@ func TestResetMatchesFresh(t *testing.T) {
 				i, c.cfg.Policy, snaps[i], m)
 		}
 		rt.CheckInvariants()
+	}
+}
+
+// TestTier2RetentionAllocGate: Reset keeps at most one retired Tier-2
+// store per store policy, whatever capacities it cycles through. A gmtd
+// runner serves Tier2Pages values its clients choose, so what a runtime
+// retains must not grow with the number of distinct configs it has
+// served. Fifty capacities, each run under every Tier-2 policy and BaM,
+// leave at most one store of each policy retired, each filed under its
+// own policy; and a policy switch and back at one capacity gets the
+// same store back.
+func TestTier2RetentionAllocGate(t *testing.T) {
+	trace := warmTailTrace(32, 400, 128)
+	base := DefaultConfig()
+	base.Tier1Pages = 32
+	base.FootprintPages = 128
+	variants := []func(*Config){
+		func(c *Config) { c.Policy = PolicyTierOrder },
+		func(c *Config) { c.Policy = PolicyRandom },
+		func(c *Config) { c.Policy = PolicyReuse; c.Tier2Policy = tier.StoreLRUK },
+		func(c *Config) { c.Policy = PolicyTierOrder; c.Tier2Policy = tier.StoreTwoQ },
+		func(c *Config) { c.Policy = PolicyBaM },
+	}
+	eng := sim.NewEngine()
+	rt := NewRuntime(eng, base)
+	for i := 0; i < 50; i++ {
+		for _, v := range variants {
+			cfg := base
+			cfg.Tier2Pages = 64 + i
+			v(&cfg)
+			rt.Reset(cfg)
+			runKernel(t, eng, rt, trace, 8)
+		}
+	}
+	if n := len(rt.retiredT2); n > len(tier.StorePolicies) {
+		t.Fatalf("%d retired Tier-2 stores after 50 capacities, want at most one per policy (%d)", n, len(tier.StorePolicies))
+	}
+	kindOf := func(s tier.Store) tier.StorePolicy {
+		switch s.(type) {
+		case *tier.Clock:
+			return tier.StoreClock
+		case *tier.FIFO:
+			return tier.StoreFIFO
+		case *tier.LRUK:
+			return tier.StoreLRUK
+		case *tier.TwoQ:
+			return tier.StoreTwoQ
+		}
+		return ""
+	}
+	for kind, s := range rt.retiredT2 {
+		if kindOf(s) != kind {
+			t.Errorf("a %T is retired as a %q store", s, kind)
+		}
+	}
+
+	cfg := base
+	cfg.Tier2Pages = 96
+	cfg.Policy = PolicyTierOrder
+	rt.Reset(cfg)
+	clock := rt.t2
+	cfg.Policy = PolicyRandom
+	rt.Reset(cfg)
+	cfg.Policy = PolicyTierOrder
+	rt.Reset(cfg)
+	if rt.t2 != clock {
+		t.Error("TierOrder → Random → TierOrder at one capacity built a new Clock instead of taking back the retired one")
 	}
 }

@@ -354,13 +354,20 @@ type Runtime struct {
 
 	t1 *tier.Clock
 	t2 tier.Store // nil under PolicyBaM
+	// retiredT2 holds, per store policy, the last Tier-2 store Reset
+	// replaced; the next config of that policy and capacity reuses it,
+	// so cycling BaM, TierOrder (Clock) and Random or Reuse (FIFO)
+	// stops rebuilding stores. One store per policy at most: a caller
+	// cycling through many capacities never grows it.
+	retiredT2 map[tier.StorePolicy]tier.Store
 
 	dir pageDirectory
 	// reserved counts Tier-1 slots committed to in-flight fetches;
 	// slotWaiters holds fetches stalled because every slot is either
 	// occupied by another in-flight fetch or unpickable. The queue is a
 	// head-cursor FIFO (mirroring sim.Server.waiters) so draining it
-	// reuses the backing array instead of reslicing it away.
+	// reuses the backing array instead of reslicing it away, and
+	// install slides a long consumed prefix off its front.
 	reserved    int
 	slotWaiters []slotWait
 	slotHead    int
@@ -533,7 +540,9 @@ func newTier2(cfg Config) tier.Store {
 //
 // Devices and tier structures whose shape cfg changes (different drive
 // config, lane count, capacities, or Tier-2 policy) are rebuilt rather
-// than reset; everything shape-compatible is reset in place.
+// than reset; everything shape-compatible is reset in place. A Tier-2
+// store cfg replaces is retired, one per store policy (retiredT2), and
+// taken back when a later config asks for that policy at that capacity.
 func (rt *Runtime) Reset(cfg Config) {
 	checkShape(cfg)
 	rt.eng.Reset()
@@ -568,7 +577,14 @@ func (rt *Runtime) Reset(cfg Config) {
 			rt.t2.Reset()
 		}
 	} else {
-		rt.t2 = newTier2(cfg)
+		old, oldKind := rt.t2, tier2Name(rt.cfg)
+		rt.t2 = rt.takeTier2(cfg)
+		if old != nil {
+			if rt.retiredT2 == nil {
+				rt.retiredT2 = make(map[tier.StorePolicy]tier.Store, len(tier.StorePolicies))
+			}
+			rt.retiredT2[oldKind] = old
+		}
 	}
 
 	rt.dir.reset()
@@ -600,6 +616,21 @@ func resetStorage(s Storage) {
 	default:
 		panic(fmt.Sprintf("core: cannot reset storage of type %T", s))
 	}
+}
+
+// takeTier2 returns the Tier-2 store for cfg (nil under PolicyBaM):
+// the retired store of cfg's policy, reset, when its capacity is cfg's,
+// else a new one. A store taken is no longer retired.
+func (rt *Runtime) takeTier2(cfg Config) tier.Store {
+	if cfg.Policy != PolicyBaM {
+		kind := tier2Name(cfg)
+		if s := rt.retiredT2[kind]; s != nil && s.Capacity() == cfg.Tier2Pages {
+			delete(rt.retiredT2, kind)
+			s.Reset()
+			return s
+		}
+	}
+	return newTier2(cfg)
 }
 
 // tier2Name reports the store policy newTier2 would build for cfg.
@@ -1104,8 +1135,17 @@ func (rt *Runtime) install(p tier.PageID) {
 		w := rt.slotWaiters[rt.slotHead]
 		rt.slotWaiters[rt.slotHead] = slotWait{}
 		rt.slotHead++
-		if rt.slotHead == len(rt.slotWaiters) {
+		switch {
+		case rt.slotHead == len(rt.slotWaiters):
 			rt.slotWaiters = rt.slotWaiters[:0]
+			rt.slotHead = 0
+		case rt.slotHead >= 64 && 2*rt.slotHead >= len(rt.slotWaiters):
+			// Slide the live tail to the front, as sim.Server.Release
+			// does, so a queue that never drains reuses its backing
+			// array instead of growing by one entry per stall.
+			n := copy(rt.slotWaiters, rt.slotWaiters[rt.slotHead:])
+			clear(rt.slotWaiters[n:])
+			rt.slotWaiters = rt.slotWaiters[:n]
 			rt.slotHead = 0
 		}
 		rt.acquireSlot(w.start, w.ctx)

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"github.com/gmtsim/gmt/internal/core"
-	"github.com/gmtsim/gmt/internal/gpu"
-	"github.com/gmtsim/gmt/internal/sim"
 	"github.com/gmtsim/gmt/internal/stats"
 	"github.com/gmtsim/gmt/internal/workload"
 )
@@ -105,9 +103,7 @@ func RegressionWarmup(s *Suite) ([]WarmupRow, *stats.Table) {
 			cfg.UnpipelinedRegression = unpipelined
 			cfg.HistorySample = interval
 			u := s.acquireUnit(cfg)
-			g := gpuNew(s, u.eng, trace, u.rt)
-			g.Launch()
-			u.eng.Run()
+			u.launch(s.GPU, trace)
 			m := u.rt.Snapshot()
 			m.App = w.Name()
 			m.WallTime = u.eng.Now()
@@ -135,11 +131,6 @@ func RegressionWarmup(s *Suite) ([]WarmupRow, *stats.Table) {
 			stats.X(r.SpeedupPipelined), stats.X(r.SpeedupUnpipelined))
 	}
 	return rows, t
-}
-
-// gpuNew builds the GPU driver for a raw trace.
-func gpuNew(s *Suite, eng *sim.Engine, trace []gpu.Access, mm gpu.MemoryManager) *gpu.GPU {
-	return gpu.New(eng, s.GPU, &gpu.SliceStream{Trace: trace}, mm)
 }
 
 // PredictorRow compares GMT-Reuse's class predictors on one app.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/gmtsim/gmt/internal/core"
+	"github.com/gmtsim/gmt/internal/gpu"
 	"github.com/gmtsim/gmt/internal/sim"
 	"github.com/gmtsim/gmt/internal/tier"
 	"github.com/gmtsim/gmt/internal/workload"
@@ -96,7 +97,7 @@ func TestHeadlineSurvivesKernelBarriers(t *testing.T) {
 			cfg.Tier2Pages = sc.Tier2Pages
 			eng := sim.NewEngine()
 			rt := core.NewRuntime(eng, cfg)
-			g := gpuNew(shared, eng, trace, rt)
+			g := gpu.New(eng, shared.GPU, &gpu.SliceStream{Trace: trace}, rt)
 			g.Launch()
 			eng.Run()
 			if !g.Done() {
@@ -143,7 +144,7 @@ func TestOracleFutureSkipsBarriers(t *testing.T) {
 	cfg.Future = future
 	cfg.FootprintPages = int(srad.Pages())
 	eng := sim.NewEngine()
-	g := gpuNew(s, eng, trace, core.NewRuntime(eng, cfg))
+	g := gpu.New(eng, s.GPU, &gpu.SliceStream{Trace: trace}, core.NewRuntime(eng, cfg))
 	g.Launch()
 	eng.Run()
 	if got.WallTime != eng.Now() || eng.Now() != 22_575_155 {

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"sync"
 
 	"github.com/gmtsim/gmt/internal/baseline"
 	"github.com/gmtsim/gmt/internal/core"
@@ -121,30 +122,44 @@ func evictionFreePrefix(trace []gpu.Access, tier1 int) int {
 	return len(trace)
 }
 
-// runUnit is one recyclable {engine, runtime} pair. Every simulation
-// draws a unit from the suite pool: a unit that finished a run is Reset
-// — reusing its page-directory arena, tier arrays, event arena, and
-// pipeline pools — instead of being rebuilt from scratch, which is
-// where sweep-scale prewarms used to spend most of their allocation
-// churn.
+// runUnit is one recyclable {engine, runtime, GPU}. Every simulation
+// draws a unit from its root suite's pool: a unit that finished a run
+// is Reset — reusing its page-directory arena, tier arrays and retired
+// Tier-2 stores, event arena, pipeline pools and warp array — instead
+// of being rebuilt from scratch, which is where sweep-scale prewarms
+// used to spend most of their allocation churn.
 type runUnit struct {
-	eng *sim.Engine
-	rt  *core.Runtime
+	eng    *sim.Engine
+	rt     *core.Runtime
+	gpu    *gpu.GPU
+	stream gpu.SliceStream // the running kernel's trace; empty when idle
+}
+
+// unitPool holds the idle run units of one root suite and its derived
+// sub-suites (Suite.units). A sweep's sub-suites run their simulations
+// one after another on a worker, so one pool lets a single unit serve
+// them all.
+type unitPool struct {
+	mu   sync.Mutex
+	idle []*runUnit
 }
 
 // acquireUnit pops a pooled unit reset to cfg, or builds a fresh one.
 func (s *Suite) acquireUnit(cfg core.Config) *runUnit {
-	s.unitMu.Lock()
+	p := s.units
+	p.mu.Lock()
 	var u *runUnit
-	if n := len(s.units); n > 0 {
-		u = s.units[n-1]
-		s.units[n-1] = nil
-		s.units = s.units[:n-1]
+	if n := len(p.idle); n > 0 {
+		u = p.idle[n-1]
+		p.idle[n-1] = nil
+		p.idle = p.idle[:n-1]
 	}
-	s.unitMu.Unlock()
+	p.mu.Unlock()
 	if u == nil {
 		eng := sim.NewEngine()
-		return &runUnit{eng: eng, rt: core.NewRuntime(eng, cfg)}
+		u = &runUnit{eng: eng, rt: core.NewRuntime(eng, cfg)}
+		u.gpu = gpu.New(eng, s.GPU, &u.stream, u.rt)
+		return u
 	}
 	u.rt.Reset(cfg)
 	return u
@@ -152,9 +167,21 @@ func (s *Suite) acquireUnit(cfg core.Config) *runUnit {
 
 // releaseUnit returns a unit whose run completed to the pool.
 func (s *Suite) releaseUnit(u *runUnit) {
-	s.unitMu.Lock()
-	s.units = append(s.units, u)
-	s.unitMu.Unlock()
+	p := s.units
+	p.mu.Lock()
+	p.idle = append(p.idle, u)
+	p.mu.Unlock()
+}
+
+// launch runs trace as one kernel on u's GPU, reset to cfg, until the
+// engine drains, then clears the stream so an idle unit pins no trace.
+func (u *runUnit) launch(cfg gpu.Config, trace []gpu.Access) *gpu.GPU {
+	u.stream = gpu.SliceStream{Trace: trace}
+	u.gpu.Reset(cfg, &u.stream)
+	u.gpu.Launch()
+	u.eng.Run()
+	u.stream = gpu.SliceStream{}
+	return u.gpu
 }
 
 // simulate runs w's trace under cfg on a pooled unit. The trace runs as
@@ -177,9 +204,7 @@ func (s *Suite) simulate(w workload.Workload, cfg core.Config, split bool) stats
 	u := s.acquireUnit(cfg)
 	var compute, stall sim.Time
 	for _, kernel := range kernels {
-		g := gpu.New(u.eng, s.GPU, &gpu.SliceStream{Trace: kernel}, u.rt)
-		g.Launch()
-		u.eng.Run()
+		g := u.launch(s.GPU, kernel)
 		if !g.Done() {
 			panic(fmt.Sprintf("exp: %s under %v did not finish", w.Name(), cfg.Policy))
 		}

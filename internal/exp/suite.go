@@ -52,13 +52,13 @@ type Suite struct {
 	apps  []workload.Workload
 	kvApp workload.Workload // lazily built KV-serving workload
 
-	// unitMu guards units, the pool of recycled {engine, runtime} pairs
-	// every simulation draws from (phased.go): a finished run's
-	// page-directory arena, tier arrays, and event arena are reset and
-	// reused by the next sweep point instead of reallocated. Results are
-	// byte-identical either way (core.Runtime.Reset's contract).
-	unitMu sync.Mutex
-	units  []*runUnit
+	// units is the root suite's pool of recycled run units (phased.go),
+	// shared by its derived sub-suites as runs is: a finished run's
+	// engine, runtime and GPU are reset and reused by the next
+	// simulation, whichever sub-suite it belongs to, instead of
+	// reallocated. Results are byte-identical either way
+	// (core.Runtime.Reset's and gpu.GPU.Reset's contracts).
+	units *unitPool
 
 	// runs is the root suite's run memo, shared by its derived
 	// sub-suites, so a run one of them computed is a hit for all.
@@ -81,6 +81,7 @@ func NewSuite(scale workload.Scale) *Suite {
 		Seed:  1,
 		label: "root",
 		apps:  workload.All(scale),
+		units: &unitPool{},
 		runs:  &memo[runKey, stats.Run]{},
 		subs:  make(map[string]*Suite),
 	}
@@ -96,8 +97,10 @@ func NewRegularSuite(scale workload.Scale) *Suite {
 // WithSeed returns a fresh suite at s's scale running under seed whose
 // datasets are s's: it adopts s's workloads and trace memo (adoptData),
 // so suites for many seeds at one scale build each graph and trace once.
-// The new suite has a run memo of its own, so dropping it frees its
-// results.
+// The new suite has a run memo and a unit pool of its own, so dropping
+// it frees its results, and the units built for it do not depend on how
+// runs of other seeds interleave with its own (gmtd runs experiment
+// jobs for different seeds on concurrent workers).
 func (s *Suite) WithSeed(seed int64) *Suite {
 	sub := NewSuite(s.Scale)
 	sub.Seed = seed
@@ -263,8 +266,8 @@ func (s *Suite) Counters() (sims, hits int64) {
 // mk on first use. Sensitivity figures (11, 12, 13) derive alternate
 // scales from a parent suite; registering them here lets the planner and
 // the renderer agree on one sub-suite per derived scale, and every
-// sub-suite shares the root's run memo. The sub-suite's Seed and GPU
-// follow the parent's.
+// sub-suite shares the root's run memo and unit pool. The sub-suite's
+// Seed and GPU follow the parent's.
 func (s *Suite) derived(key string, mk func() *Suite) *Suite {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -273,6 +276,7 @@ func (s *Suite) derived(key string, mk func() *Suite) *Suite {
 		sub = mk()
 		sub.label = s.label + "/" + key
 		sub.runs = s.runs
+		sub.units = s.units
 		s.subs[key] = sub
 		s.subOrder = append(s.subOrder, key)
 	}

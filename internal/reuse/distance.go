@@ -6,7 +6,11 @@
 // 3-state Markov history predictor of Figure 5.
 package reuse
 
-import "github.com/gmtsim/gmt/internal/tier"
+import (
+	"fmt"
+
+	"github.com/gmtsim/gmt/internal/tier"
+)
 
 // DistanceTracker computes, online, the exact reuse distance (number of
 // distinct pages accessed since the previous access of the same page) and
@@ -16,13 +20,10 @@ import "github.com/gmtsim/gmt/internal/tier"
 // samples and converts VTDs into true reuse distances.
 type DistanceTracker struct {
 	// last holds the most recent access position per page, dense-indexed
-	// by page ID per the bounded-page-ID contract (-1 = unseen); the rare
-	// negative ID (e.g. a barrier marker fed by an offline analysis)
-	// falls back to lastNeg.
-	last    []int64
-	lastNeg map[tier.PageID]int
-	bit     fenwick
-	pos     int
+	// by page ID per the bounded-page-ID contract (-1 = unseen).
+	last []int64
+	bit  fenwick
+	pos  int
 	// pages is one past the highest page ID stored in last: the extent
 	// Reset must clear.
 	pages int
@@ -44,8 +45,13 @@ func NewDistanceTrackerFor(pages, n int) *DistanceTracker {
 }
 
 // Observe records an access to p and reports its VTD and reuse distance.
-// ok is false on the first access to p (no previous access exists).
+// ok is false on the first access to p (no previous access exists). It
+// panics on a negative page ID: the runtime's sampler sees only memory
+// accesses, and workload.Analyze skips barriers.
 func (t *DistanceTracker) Observe(p tier.PageID) (vtd, rd int64, ok bool) {
+	if p < 0 {
+		panic(fmt.Sprintf("reuse: negative page id %d", p))
+	}
 	cur := t.pos
 	t.pos++
 	lp, seen := t.lookup(p)
@@ -64,10 +70,6 @@ func (t *DistanceTracker) Observe(p tier.PageID) (vtd, rd int64, ok bool) {
 
 // lookup reports p's most recent access position.
 func (t *DistanceTracker) lookup(p tier.PageID) (int, bool) {
-	if p < 0 {
-		lp, seen := t.lastNeg[p]
-		return lp, seen
-	}
 	if int64(p) >= int64(len(t.last)) {
 		return 0, false
 	}
@@ -77,13 +79,6 @@ func (t *DistanceTracker) lookup(p tier.PageID) (int, bool) {
 
 // store records p's access position.
 func (t *DistanceTracker) store(p tier.PageID, cur int) {
-	if p < 0 {
-		if t.lastNeg == nil {
-			t.lastNeg = make(map[tier.PageID]int)
-		}
-		t.lastNeg[p] = cur
-		return
-	}
 	if int64(p) >= int64(len(t.last)) {
 		t.grow(int(p))
 	}
@@ -102,7 +97,6 @@ func (t *DistanceTracker) Reset() {
 		t.last[i] = -1
 	}
 	t.pages = 0
-	clear(t.lastNeg)
 	t.bit.clear(t.pos)
 	t.pos = 0
 }

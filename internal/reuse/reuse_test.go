@@ -304,19 +304,15 @@ func TestSamplerBatchingAndTarget(t *testing.T) {
 }
 
 // TestSamplerResetMatchesNew: a sampler Reset after a longer stream —
-// unpipelined, with negative page IDs and a grown tracker — observes a
-// new stream exactly like NewSampler with the same arguments: the same
-// (VTD, RD) pairs, batches and published coefficients after every
-// access.
+// unpipelined, with a grown tracker — observes a new stream exactly
+// like NewSampler with the same arguments: the same (VTD, RD) pairs,
+// batches and published coefficients after every access.
 func TestSamplerResetMatchesNew(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	stream := func(n, pages int) []tier.PageID {
 		tr := make([]tier.PageID, n)
 		for i := range tr {
 			tr[i] = tier.PageID(rng.Intn(pages))
-			if i%97 == 0 {
-				tr[i] = -tier.PageID(rng.Intn(3) + 1)
-			}
 		}
 		return tr
 	}
@@ -355,6 +351,20 @@ func TestSamplerResetMatchesNew(t *testing.T) {
 			t.Fatalf("access %d (page %d): reset tracker (%d, %d, %v), new tracker (%d, %d, %v)", i, p, v, r, ok, wv, wr, wok)
 		}
 	}
+}
+
+// TestObserveNegativePagePanics: a tracker observes only memory
+// accesses, never a barrier marker or other negative sentinel, so a
+// negative page ID panics instead of being tracked.
+func TestObserveNegativePagePanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Observe(-1) did not panic")
+		}
+	}()
+	tr := NewDistanceTracker()
+	tr.Observe(3)
+	tr.Observe(-1)
 }
 
 func TestClassifierBoundaries(t *testing.T) {

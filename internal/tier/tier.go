@@ -495,27 +495,36 @@ func (f *FIFO) skipDead() {
 	}
 }
 
-// compact reclaims queue storage when consumed entries and tombstones
-// dominate, rewriting the live tail into the front of the same backing
-// array so append reuses it. The trigger measures the unconsumed queue
-// (excluding the prefix skipDead already passed): compaction drops dead
-// mid-queue entries, which changes where a later re-insert of those
-// pages lands, so when it fires is part of the replacement order and
-// must not depend on how the consumed prefix is represented.
+// compact reclaims queue storage in place, so append reuses the
+// backing array. Once the unconsumed queue reaches twice the capacity
+// it drops the tombstones in it. That trigger measures the unconsumed
+// queue (excluding the prefix skipDead already passed): dropping dead
+// mid-queue entries changes where a later re-insert of those pages
+// lands, so when it fires is part of the replacement order and must not
+// depend on how the consumed prefix is represented. Otherwise, once the
+// consumed prefix is at least half the queue, it slides the unconsumed
+// entries to the front unchanged, as sim.Server.Release does: under
+// plain FIFO eviction the head consumes as fast as inserts append, the
+// dropping trigger never fires, and the queue would grow by one entry
+// per insert.
 //
 //gmt:coldpath
 func (f *FIFO) compact() {
-	if n := len(f.queue) - f.head; n < 2*f.capacity || n < 64 {
+	if n := len(f.queue) - f.head; n >= 2*f.capacity && n >= 64 {
+		live := f.queue[:0]
+		for _, p := range f.queue[f.head:] {
+			if f.resident[p] {
+				live = append(live, p)
+			}
+		}
+		f.queue = live
+		f.head = 0
 		return
 	}
-	live := f.queue[:0]
-	for _, p := range f.queue[f.head:] {
-		if f.resident[p] {
-			live = append(live, p)
-		}
+	if f.head >= 64 && 2*f.head >= len(f.queue) {
+		f.queue = f.queue[:copy(f.queue, f.queue[f.head:])]
+		f.head = 0
 	}
-	f.queue = live
-	f.head = 0
 }
 
 // Contains reports residency.

@@ -176,6 +176,26 @@ func TestFIFOCompaction(t *testing.T) {
 	}
 }
 
+// TestFIFOEvictionQueueBounded: under plain FIFO eviction — each insert
+// into a full store evicts the head — the unconsumed queue stays near
+// the capacity, so only the consumed prefix can grow. After 200,000
+// inserts into a 1024-page store the queue's backing array must stay
+// within 4× the capacity; without sliding the consumed prefix away it
+// held every insert (length 200,000, capacity 219,136).
+func TestFIFOEvictionQueueBounded(t *testing.T) {
+	f := NewFIFO(1024)
+	for i := 0; i < 200_000; i++ {
+		if f.Full() {
+			f.Remove(f.Victim())
+		}
+		f.Insert(PageID(i % 5000))
+	}
+	if c := cap(f.queue); c > 4*f.capacity {
+		t.Fatalf("after 200000 inserts the queue has length %d and capacity %d, want capacity <= %d",
+			len(f.queue), c, 4*f.capacity)
+	}
+}
+
 func TestStoreInterfaceCompliance(t *testing.T) {
 	for _, s := range []Store{NewClock(4), NewFIFO(4), NewLRUK(4), NewTwoQ(4)} {
 		s.Insert(7)

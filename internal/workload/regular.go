@@ -36,8 +36,9 @@ func (m *MultiVectorAdd) Pages() int64 { return m.OutPages + int64(m.K)*m.InPage
 // Trace implements Workload. Layout: [out][in_0][in_1]...[in_K-1]. Each
 // pass scans the input monotonically (scaled to the output index), so
 // inputs are read exactly once.
-func (m *MultiVectorAdd) Trace() []gpu.Access {
-	var b traceBuilder
+func (m *MultiVectorAdd) Trace() []gpu.Access { return exactTrace(m.generate) }
+
+func (m *MultiVectorAdd) generate(b *traceBuilder) {
 	for k := 0; k < m.K; k++ {
 		inBase := m.OutPages + int64(k)*m.InPages
 		lastIn := int64(-1)
@@ -51,7 +52,6 @@ func (m *MultiVectorAdd) Trace() []gpu.Access {
 			b.write(i) // out[i] += in_k[i]
 		}
 	}
-	return b.trace()
 }
 
 // Pathfinder is Rodinia's dynamic-programming kernel: each row of the
@@ -81,8 +81,9 @@ func (p *Pathfinder) Pages() int64 {
 }
 
 // Trace implements Workload. Layout: [wall rows][result rows].
-func (p *Pathfinder) Trace() []gpu.Access {
-	var b traceBuilder
+func (p *Pathfinder) Trace() []gpu.Access { return exactTrace(p.generate) }
+
+func (p *Pathfinder) generate(b *traceBuilder) {
 	resultBase := p.Rows * p.WallRowPages
 	for r := int64(0); r < p.Rows; r++ {
 		for c := int64(0); c < p.WallRowPages; c++ {
@@ -95,7 +96,6 @@ func (p *Pathfinder) Trace() []gpu.Access {
 			b.write(resultBase + r*p.ResultRowPages + c)
 		}
 	}
-	return b.trace()
 }
 
 // LavaMD is Rodinia's particle simulation: each box streams its bulk
@@ -124,8 +124,9 @@ func (l *LavaMD) Pages() int64 { return l.Boxes * (l.BulkPages + 1) }
 
 // Trace implements Workload. Per box: bulk pages stream, then the
 // previous box's boundary page is re-read (neighbor access).
-func (l *LavaMD) Trace() []gpu.Access {
-	var b traceBuilder
+func (l *LavaMD) Trace() []gpu.Access { return exactTrace(l.generate) }
+
+func (l *LavaMD) generate(b *traceBuilder) {
 	stride := l.BulkPages + 1
 	for box := int64(0); box < l.Boxes; box++ {
 		base := box * stride
@@ -137,7 +138,6 @@ func (l *LavaMD) Trace() []gpu.Access {
 			b.read((box - 1) * stride)
 		}
 	}
-	return b.trace()
 }
 
 // Srad is Rodinia's image diffusion kernel processed in tiles: several
@@ -185,8 +185,9 @@ func (s *Srad) Name() string { return "Srad" }
 func (s *Srad) Pages() int64 { return s.TilePages + s.AuxPages + s.OncePages }
 
 // Trace implements Workload. Layout: [once][aux][grid].
-func (s *Srad) Trace() []gpu.Access {
-	var b traceBuilder
+func (s *Srad) Trace() []gpu.Access { return exactTrace(s.generate) }
+
+func (s *Srad) generate(b *traceBuilder) {
 	for p := int64(0); p < s.OncePages; p++ {
 		b.read(p)
 	}
@@ -209,7 +210,6 @@ func (s *Srad) Trace() []gpu.Access {
 			b.write(base + p) // center
 		}
 	}
-	return b.trace()
 }
 
 // Backprop is Rodinia's neural-network trainer: forward pass through the
@@ -253,8 +253,9 @@ func (bp *Backprop) Pages() int64 {
 }
 
 // Trace implements Workload. Layout: [once][layer0][layer1][layer2].
-func (bp *Backprop) Trace() []gpu.Access {
-	var b traceBuilder
+func (bp *Backprop) Trace() []gpu.Access { return exactTrace(bp.generate) }
+
+func (bp *Backprop) generate(b *traceBuilder) {
 	layerBase := make([]int64, len(bp.LayerPages))
 	base := bp.OncePages
 	for i, l := range bp.LayerPages {
@@ -286,7 +287,6 @@ func (bp *Backprop) Trace() []gpu.Access {
 			}
 		}
 	}
-	return b.trace()
 }
 
 // Hotspot is Rodinia's thermal simulation: every iteration sweeps the
@@ -321,8 +321,9 @@ func (h *Hotspot) Pages() int64 { return h.GridPages + h.OncePages }
 // Trace implements Workload. Layout: [once][grid] where grid interleaves
 // temperature (even offsets) and power (odd offsets) conceptually; at
 // page granularity we sweep it with a north/south stencil.
-func (h *Hotspot) Trace() []gpu.Access {
-	var b traceBuilder
+func (h *Hotspot) Trace() []gpu.Access { return exactTrace(h.generate) }
+
+func (h *Hotspot) generate(b *traceBuilder) {
 	gridBase := h.OncePages
 	for p := int64(0); p < h.OncePages; p++ {
 		b.read(p)
@@ -338,5 +339,4 @@ func (h *Hotspot) Trace() []gpu.Access {
 			b.write(gridBase + p)
 		}
 	}
-	return b.trace()
 }

@@ -115,10 +115,15 @@ func Regular(s Scale) []Workload {
 // traceBuilder is the generators' emitter. It appends into chunks that
 // double from minChunk to maxChunk accesses and copies them once, in
 // trace, into a slice of exactly the trace's length: growing one slice
-// by append allocates several times its final size on the way.
+// by append allocates several times its final size on the way. In
+// exactTrace's counting pass it only counts.
 type traceBuilder struct {
 	full [][]gpu.Access
 	cur  []gpu.Access
+	// counting makes emit count into n and keep nothing; cur stays
+	// empty, so every emit takes the growth branch that checks it.
+	counting bool
+	n        int
 }
 
 const (
@@ -128,6 +133,10 @@ const (
 
 func (b *traceBuilder) emit(a gpu.Access) {
 	if len(b.cur) == cap(b.cur) {
+		if b.counting {
+			b.n++
+			return
+		}
 		if b.cur != nil {
 			b.full = append(b.full, b.cur)
 		}
@@ -144,4 +153,26 @@ func (b *traceBuilder) barrier()      { b.emit(gpu.Barrier) }
 // (nil when nothing was).
 func (b *traceBuilder) trace() []gpu.Access {
 	return slices.Concat(append(b.full, b.cur)...)
+}
+
+// exactTrace returns what gen emits, allocating the trace once and
+// nothing else: gen runs into a counting builder, then into one slice
+// of exactly that length (nil when it emits nothing). gen must emit the
+// same sequence every time, as the regular generators do (pure loop
+// nests over their fields). The graph generators and KVServe keep the
+// chunked builder: their traversals and random draws cost far more
+// than the chunks' copy, so a second pass would cost more than it
+// saves.
+func exactTrace(gen func(*traceBuilder)) []gpu.Access {
+	count := traceBuilder{counting: true}
+	gen(&count)
+	if count.n == 0 {
+		return nil
+	}
+	b := traceBuilder{cur: make([]gpu.Access, 0, count.n)}
+	gen(&b)
+	if b.full != nil || len(b.cur) != count.n {
+		panic("workload: a generator emitted a different trace on its second pass")
+	}
+	return b.cur
 }
